@@ -144,7 +144,12 @@ func Run(cfg Config) (*Results, error) {
 	r.Dataset = d
 
 	// --- Shredding (§6.3.1): time to install each policy. ---
-	site, err := core.NewSite()
+	// Both caches are off: Figures 20 and 21 price one whole match —
+	// conversion and query — and a cache hit would record neither.
+	site, err := core.NewSiteWithOptions(core.Options{
+		DisableConversionCache: true,
+		DisableDecisionCache:   true,
+	})
 	if err != nil {
 		return nil, err
 	}

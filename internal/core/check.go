@@ -159,7 +159,7 @@ func (s *Site) fastAllow(prefXML string, cs *compactSummary) string {
 		obsFastForced.Inc()
 		return "forced"
 	}
-	conv, err := s.nativeConversion(prefXML)
+	conv, err := s.conversion(prefXML)
 	if err != nil {
 		// The fallback engine will surface the same conversion error.
 		return "preference-error"

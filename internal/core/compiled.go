@@ -9,8 +9,8 @@ import (
 	"p3pdb/internal/sqlgen"
 )
 
-// CompiledPreference is a preference translated to SQL once and prepared
-// against the site's database, with the policy id left as a parameter.
+// CompiledPreference is a preference translated once into the statements
+// the site's database executes, with the policy id left as a parameter.
 // It realizes the deployment the paper sketches in Section 6.3.2: "it is
 // not unreasonable to think of a P3P deployment in which the preference
 // generation GUI tool produces preferences as a set of SQL statements" —
@@ -24,7 +24,7 @@ type CompiledPreference struct {
 }
 
 type compiledRule struct {
-	stmt            reldb.Statement
+	stmt            *reldb.SelectStmt
 	behavior        string
 	prompt          bool
 	ruleDescription string
@@ -32,20 +32,22 @@ type compiledRule struct {
 
 // compileRules translates rs against the optimized schema with the
 // policy id left as a parameter — so one compilation serves every policy
-// on the site — and prepares every rule statement on db.
-func compileRules(db *reldb.DB, rs *appel.Ruleset) ([]compiledRule, error) {
-	queries, err := sqlgen.TranslateRulesetOptimized(rs, "SELECT ? AS policy_id")
+// on the site. The statements are built as reldb executes them; no SQL
+// text is written or parsed. They are admitted under the same statement-
+// complexity limits a database opened with dbOpts applies to text it
+// prepares.
+func compileRules(rs *appel.Ruleset, dbOpts reldb.Options) ([]compiledRule, error) {
+	queries, err := sqlgen.BuildRulesetOptimized(rs, sqlgen.ParamPolicySubquery())
 	if err != nil {
 		return nil, err
 	}
 	rules := make([]compiledRule, 0, len(queries))
 	for i, q := range queries {
-		stmt, err := db.Prepare(q.SQL)
-		if err != nil {
+		if err := dbOpts.CheckComplexity(q.Stmt); err != nil {
 			return nil, fmt.Errorf("core: preparing rule %d: %w", i+1, err)
 		}
 		rules = append(rules, compiledRule{
-			stmt:            stmt,
+			stmt:            q.Stmt,
 			behavior:        q.Behavior,
 			prompt:          q.Prompt,
 			ruleDescription: rs.Rules[i].Description,
@@ -54,16 +56,16 @@ func compileRules(db *reldb.DB, rs *appel.Ruleset) ([]compiledRule, error) {
 	return rules, nil
 }
 
-// CompilePreference translates and prepares a preference against the
-// optimized schema. The result is bound to this site's database but not
-// to any policy.
+// CompilePreference translates a preference against the optimized
+// schema. The result is bound to this site's schema and database limits
+// but not to any policy or snapshot.
 func (s *Site) CompilePreference(prefXML string) (*CompiledPreference, error) {
 	start := time.Now()
 	rs, err := appel.Parse(prefXML)
 	if err != nil {
 		return nil, err
 	}
-	rules, err := compileRules(s.state.Load().optDB, rs)
+	rules, err := compileRules(rs, s.opts.DB)
 	if err != nil {
 		return nil, err
 	}
@@ -73,8 +75,8 @@ func (s *Site) CompilePreference(prefXML string) (*CompiledPreference, error) {
 // MatchCompiled evaluates a compiled preference against a named policy.
 // Only query execution remains on the per-visit path. Compiled matches
 // run lock-free against the current snapshot, concurrently with each
-// other, with every other match, and with policy writes: the prepared
-// statements are database-independent ASTs, so a compilation outlives
+// other, with every other match, and with policy writes: the
+// statements are database-independent trees, so a compilation outlives
 // the snapshot it was made against.
 func (s *Site) MatchCompiled(c *CompiledPreference, policyName string) (Decision, error) {
 	st := s.state.Load()

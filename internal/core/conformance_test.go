@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"p3pdb/internal/appel"
 	"p3pdb/internal/reldb"
+	"p3pdb/internal/sqlgen"
 )
 
 // readConformanceDir loads every XML file of one side of the conformance
@@ -33,6 +35,37 @@ func readConformanceDir(t *testing.T, side string) map[string]string {
 	return out
 }
 
+// matchPrintedSQL decides a pair the way a holder of only the SQL text
+// would: the rule queries as sqlgen prints them, prepared through the
+// engine's text entry point and executed in rule order.
+func matchPrintedSQL(t *testing.T, s *Site, prefXML, polName string) (behavior string, rule int) {
+	t.Helper()
+	rs, err := appel.Parse(prefXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := sqlgen.TranslateRulesetOptimized(rs, "SELECT ? AS policy_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.state.Load()
+	for i, q := range queries {
+		stmt, err := st.optDB.Prepare(q.SQL)
+		if err != nil {
+			t.Fatalf("rule %d: %v\n%s", i+1, err, q.SQL)
+		}
+		fired, err := st.optDB.QueryExistsStmt(stmt, reldb.Int(int64(st.ids[polName])))
+		if err != nil {
+			t.Fatalf("rule %d: %v\n%s", i+1, err, q.SQL)
+		}
+		if fired {
+			return q.Behavior, i
+		}
+	}
+	t.Fatal("no printed rule query fired")
+	return "", 0
+}
+
 // TestConformanceCorpus is the differential conformance gate: every
 // (policy, preference) pair in testdata/conformance runs through all
 // four engines, and every engine must reach the native baseline's ruling
@@ -41,7 +74,9 @@ func readConformanceDir(t *testing.T, side string) map[string]string {
 // translation shortcut would diverge silently; unlike the randomized
 // differential, these pairs are stable, named, and run in -short mode.
 // The XTable path may reject a pair with reldb.ErrTooComplex (the
-// paper's blank Figure 21 cell); any other divergence fails.
+// paper's blank Figure 21 cell); any other divergence fails. The SQL
+// engine runs statements built as trees; the text printed from those
+// trees must reach the same ruling when prepared and executed as text.
 func TestConformanceCorpus(t *testing.T) {
 	policies := readConformanceDir(t, "policies")
 	preferences := readConformanceDir(t, "preferences")
@@ -80,6 +115,10 @@ func TestConformanceCorpus(t *testing.T) {
 						t.Errorf("%v disagrees with native: got %s/rule %d, want %s/rule %d",
 							engine, got.Behavior, got.RuleIndex, base.Behavior, base.RuleIndex)
 					}
+				}
+				if behavior, rule := matchPrintedSQL(t, s, prefXML, polName); behavior != base.Behavior || rule != base.RuleIndex {
+					t.Errorf("printed SQL disagrees with native: got %s/rule %d, want %s/rule %d",
+						behavior, rule, base.Behavior, base.RuleIndex)
 				}
 			})
 		}

@@ -16,30 +16,32 @@ import (
 )
 
 // The conversion cache realizes the paper's §6.3.2 "compiled preferences"
-// deployment transparently: the first time a preference text is matched
-// with an engine, the parse/translate/prepare work is done once and the
-// artifacts are kept, so a returning user's visit pays only query
-// execution. Figures 20/21 attribute the bulk of SQL matching time to
-// conversion, which is exactly what a hit removes.
+// deployment transparently: the first time a preference text is seen it
+// is parsed once, each engine's translation of it is built the first time
+// that engine runs it, and the artifacts are kept, so a returning user's
+// visit pays only query execution. Figures 20/21 attribute the bulk of SQL
+// matching time to conversion, which is exactly what a hit removes.
 //
-// Keys are (engine, preference text) — the schema is fixed per Site — plus
-// the policy name for the XTABLE path, whose view-reconstruction SQL
-// embeds the policy id. Policy-independent entries survive policy churn;
-// policy-bound entries are purged when their policy is removed.
+// An entry is keyed by preference text — the schema is fixed per Site —
+// and serves the fast path and every engine. The XTABLE path alone also
+// keeps one entry per (preference text, policy name), because its
+// view-reconstruction SQL embeds the policy id. Preference entries
+// survive policy churn; policy-bound entries are purged when their policy
+// is removed.
 
 // convKey identifies one cached conversion.
 type convKey struct {
-	engine Engine
 	pref   string
-	policy string // empty for policy-independent conversions
+	policy string // empty for the preference's own entry
 }
 
 // defaultConvCacheSize bounds the cache when Options leave it unset.
 const defaultConvCacheSize = 256
 
 // Conversion-cache observability (obs registry, DESIGN.md §8). Hits and
-// misses are counters; entries is a gauge moved by put/evict/purge
-// deltas, so it totals live entries across every Site in the process.
+// misses count lookups of a preference text, so a miss is exactly one
+// APPEL parse; entries is a gauge moved by put/evict/purge deltas, so it
+// totals live entries across every Site in the process.
 var (
 	obsConvHits    = obs.GetCounter("core.convcache.hits")
 	obsConvMisses  = obs.GetCounter("core.convcache.misses")
@@ -92,8 +94,8 @@ func newConvCache(max int) *convCache {
 }
 
 // shard picks the home shard for a key. FNV-1a over every key field:
-// cheap, deterministic, and spreads the (engine, pref, policy) triples
-// that differ only in one field.
+// cheap, deterministic, and spreads the (pref, policy) pairs that differ
+// only in one field.
 func (c *convCache) shard(k convKey) *convShard {
 	h := uint32(2166136261)
 	for _, s := range [2]string{k.pref, k.policy} {
@@ -102,12 +104,11 @@ func (c *convCache) shard(k convKey) *convShard {
 			h *= 16777619
 		}
 	}
-	h ^= uint32(k.engine)
-	h *= 16777619
 	return &c.shards[h%uint32(len(c.shards))]
 }
 
-func (c *convCache) get(k convKey) (any, bool) {
+// peek looks a key up without counting the lookup.
+func (c *convCache) peek(k convKey) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -115,6 +116,15 @@ func (c *convCache) get(k convKey) (any, bool) {
 	sh.mu.Lock()
 	v, ok := sh.m[k]
 	sh.mu.Unlock()
+	return v, ok
+}
+
+// get looks a preference's entry up and counts the hit or miss.
+func (c *convCache) get(k convKey) (any, bool) {
+	if c == nil {
+		return nil, false
+	}
+	v, ok := c.peek(k)
 	if ok {
 		c.hits.Add(1)
 		obsConvHits.Inc()
@@ -207,18 +217,17 @@ func (s *Site) ConversionCacheStats() (hits, misses int64, size int) {
 	return s.conv.hits.Load(), s.conv.misses.Load(), s.conv.size()
 }
 
-// nativeConv caches the parsed APPEL ruleset for the native engine. The
-// baseline's defining cost — parsing and augmenting the *policy* per
-// match — is deliberately not cached; only the preference parse is.
-type nativeConv struct {
-	rs *appel.Ruleset
-}
-
-// sqlConv caches the optimized-schema translation with the policy id left
-// as a parameter, so one entry serves every policy on the site.
-type sqlConv struct {
-	rs    *appel.Ruleset
-	rules []compiledRule
+// prefConv is the conversion-cache entry of one preference text: the
+// ruleset, parsed when the entry is made, and the policy-independent
+// engine translations, each built by the first match that needs it.
+// Racing first matches may each build a translation; they build the same
+// one, and the last store wins. The native engine and the fast path use
+// the ruleset as it is — the baseline's defining cost, parsing and
+// augmenting the *policy* per match, is deliberately not cached.
+type prefConv struct {
+	rs     *appel.Ruleset
+	sql    atomic.Pointer[[]compiledRule]
+	xquery atomic.Pointer[[]xqueryRule]
 }
 
 // xtableConv caches the XQuery→SQL view-reconstruction translation. The
@@ -227,7 +236,6 @@ type sqlConv struct {
 // matches the snapshot's (the policy was re-installed under a new id) is
 // rebuilt instead of served.
 type xtableConv struct {
-	rs    *appel.Ruleset
 	rules []xtableRule
 	genID int
 }
@@ -238,24 +246,19 @@ type xtableRule struct {
 	prompt   bool
 }
 
-// xqueryConv caches the APPEL→XQuery translation and the parsed queries;
-// the policy is bound at evaluation time through the document resolver.
-type xqueryConv struct {
-	rs    *appel.Ruleset
-	rules []xqueryRule
-}
-
 type xqueryRule struct {
 	query  *xquery.Query
 	prompt bool
 }
 
-// nativeConversion returns the parsed ruleset for a preference,
-// through the cache.
-func (s *Site) nativeConversion(prefXML string) (*nativeConv, error) {
-	k := convKey{engine: EngineNative, pref: prefXML}
+// conversion returns the cache entry of a preference text, parsing the
+// text if the cache does not hold it. This is the only place a served
+// request parses APPEL: the fast path and whichever engine runs after it
+// find the entry the first of them made.
+func (s *Site) conversion(prefXML string) (*prefConv, error) {
+	k := convKey{pref: prefXML}
 	if v, ok := s.conv.get(k); ok {
-		return v.(*nativeConv), nil
+		return v.(*prefConv), nil
 	}
 	if err := faultkit.Inject(faultkit.PointConvFill); err != nil {
 		return nil, err
@@ -264,105 +267,97 @@ func (s *Site) nativeConversion(prefXML string) (*nativeConv, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &nativeConv{rs: rs}
-	s.conv.put(k, e)
-	return e, nil
+	c := &prefConv{rs: rs}
+	s.conv.put(k, c)
+	return c, nil
 }
 
-// sqlConversion translates and prepares a preference against the
-// optimized schema, through the cache. The prepared statements are plain
-// parsed ASTs with the policy id as a parameter, bound to no database
-// instance, so entries stay valid across snapshot swaps.
-func (s *Site) sqlConversion(st *siteState, prefXML string) (*sqlConv, error) {
-	k := convKey{engine: EngineSQL, pref: prefXML}
-	if v, ok := s.conv.get(k); ok {
-		return v.(*sqlConv), nil
-	}
-	if err := faultkit.Inject(faultkit.PointConvFill); err != nil {
-		return nil, err
-	}
-	rs, err := appel.Parse(prefXML)
+// sqlConversion returns a preference's translation against the optimized
+// schema, through the cache: statements built directly as reldb executes
+// them, with the policy id as a parameter, bound to no database instance,
+// so they serve every policy and stay valid across snapshot swaps.
+func (s *Site) sqlConversion(prefXML string) ([]compiledRule, error) {
+	c, err := s.conversion(prefXML)
 	if err != nil {
 		return nil, err
 	}
-	rules, err := compileRules(st.optDB, rs)
+	if p := c.sql.Load(); p != nil {
+		return *p, nil
+	}
+	rules, err := compileRules(c.rs, s.opts.DB)
 	if err != nil {
 		return nil, err
 	}
-	e := &sqlConv{rs: rs, rules: rules}
-	s.conv.put(k, e)
-	return e, nil
+	c.sql.Store(&rules)
+	return rules, nil
+}
+
+// xqueryConversion returns a preference's APPEL→XQuery translation as
+// parsed queries, through the cache; the policy is bound at evaluation
+// time through the document resolver.
+func (s *Site) xqueryConversion(prefXML string) (*prefConv, []xqueryRule, error) {
+	c, err := s.conversion(prefXML)
+	if err != nil {
+		return nil, nil, err
+	}
+	if p := c.xquery.Load(); p != nil {
+		return c, *p, nil
+	}
+	xqs, err := xqgen.TranslateRuleset(c.rs)
+	if err != nil {
+		return nil, nil, err
+	}
+	rules := make([]xqueryRule, 0, len(xqs))
+	for _, xq := range xqs {
+		parsed, err := xquery.Parse(xq.XQuery)
+		if err != nil {
+			return nil, nil, err
+		}
+		rules = append(rules, xqueryRule{query: parsed, prompt: xq.Prompt})
+	}
+	c.xquery.Store(&rules)
+	return c, rules, nil
 }
 
 // xtableConversion translates a preference to SQL over the generic schema
 // through the XML-view layer for one policy, through the cache. A cached
 // entry is only served when its embedded policy id still matches the
 // snapshot's — re-installation under a new id invalidates it in place.
-func (s *Site) xtableConversion(st *siteState, prefXML, policyName string) (*xtableConv, error) {
-	k := convKey{engine: EngineXTable, pref: prefXML, policy: policyName}
+func (s *Site) xtableConversion(st *siteState, prefXML, policyName string) (*prefConv, []xtableRule, error) {
+	c, err := s.conversion(prefXML)
+	if err != nil {
+		return nil, nil, err
+	}
+	k := convKey{pref: prefXML, policy: policyName}
 	policyID := st.ids[policyName]
-	if v, ok := s.conv.get(k); ok {
+	if v, ok := s.conv.peek(k); ok {
 		if e := v.(*xtableConv); e.genID == policyID {
-			return e, nil
+			return c, e.rules, nil
 		}
 	}
 	if err := faultkit.Inject(faultkit.PointConvFill); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rs, err := appel.Parse(prefXML)
+	xqs, err := xqgen.TranslateRuleset(c.rs)
 	if err != nil {
-		return nil, err
-	}
-	xqs, err := xqgen.TranslateRuleset(rs)
-	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The whole preference is prepared before any rule runs; a rule
 	// whose view-reconstructed SQL exceeds the engine's complexity
 	// limits fails here, the way XTABLE's Medium translation failed at
 	// DB2 prepare time in the paper's experiments.
-	e := &xtableConv{rs: rs, genID: policyID}
+	e := &xtableConv{genID: policyID}
 	for i, xq := range xqs {
 		q, err := xtable.TranslateXQuery(xq.XQuery, sqlgen.FixedPolicySubquery(policyID), xtable.Options{})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		stmt, err := st.genDB.Prepare(q.SQL)
 		if err != nil {
-			return nil, fmt.Errorf("core: preparing rule %d: %w", i+1, err)
+			return nil, nil, fmt.Errorf("core: preparing rule %d: %w", i+1, err)
 		}
 		e.rules = append(e.rules, xtableRule{stmt: stmt, behavior: q.Behavior, prompt: xq.Prompt})
 	}
 	s.conv.put(k, e)
-	return e, nil
-}
-
-// xqueryConversion translates a preference to parsed XQuery, through the
-// cache.
-func (s *Site) xqueryConversion(prefXML string) (*xqueryConv, error) {
-	k := convKey{engine: EngineXQuery, pref: prefXML}
-	if v, ok := s.conv.get(k); ok {
-		return v.(*xqueryConv), nil
-	}
-	if err := faultkit.Inject(faultkit.PointConvFill); err != nil {
-		return nil, err
-	}
-	rs, err := appel.Parse(prefXML)
-	if err != nil {
-		return nil, err
-	}
-	xqs, err := xqgen.TranslateRuleset(rs)
-	if err != nil {
-		return nil, err
-	}
-	e := &xqueryConv{rs: rs}
-	for _, xq := range xqs {
-		parsed, err := xquery.Parse(xq.XQuery)
-		if err != nil {
-			return nil, err
-		}
-		e.rules = append(e.rules, xqueryRule{query: parsed, prompt: xq.Prompt})
-	}
-	s.conv.put(k, e)
-	return e, nil
+	return c, e.rules, nil
 }

@@ -106,6 +106,50 @@ func TestCachedDecisionsMatchUncached(t *testing.T) {
 	}
 }
 
+// TestConversionCacheOneParsePerPreference pins what a miss means: one
+// preference text is parsed once, however many consumers it has. A
+// never-seen text that falls past the fast path of a check misses once —
+// the fast path makes the entry and the engine finds it — and a second
+// policy, a second engine, and a plain match of the same text add no
+// miss; only a new text does.
+func TestConversionCacheOneParsePerPreference(t *testing.T) {
+	s := newCacheTestSite(t, Options{})
+	names := s.PolicyNames()
+	// Medium is outside the summary-safe fragment, so every check of it
+	// falls back to the engine.
+	variants := workload.PreferenceVariants("Medium", 2)
+	misses := func() int64 {
+		_, m, _ := s.ConversionCacheStats()
+		return m
+	}
+	check := func(pref, policy string, engine Engine, wantMisses int64) {
+		t.Helper()
+		before := misses()
+		res, err := s.CheckPolicy(pref, policy, engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FastPath || res.Decision == nil || res.Decision.Cached {
+			t.Fatalf("check did not run the %s engine: %+v", engine.ShortName(), res)
+		}
+		if got := misses() - before; got != wantMisses {
+			t.Errorf("%s check against %s: %d conversion misses, want %d", engine.ShortName(), policy, got, wantMisses)
+		}
+	}
+	check(variants[0].XML, names[0], EngineSQL, 1)
+	check(variants[0].XML, names[1], EngineSQL, 0)
+	check(variants[0].XML, names[0], EngineXQuery, 0)
+	check(variants[0].XML, names[0], EngineNative, 0)
+	before := misses()
+	if _, err := s.MatchPolicy(variants[0].XML, names[2], EngineSQL); err != nil {
+		t.Fatal(err)
+	}
+	if got := misses() - before; got != 0 {
+		t.Errorf("match of a resident text: %d conversion misses, want 0", got)
+	}
+	check(variants[1].XML, names[0], EngineSQL, 1)
+}
+
 // TestConversionCachePurgeOnRemove asserts policy-bound (XTABLE) entries
 // are dropped with their policy while policy-independent entries survive.
 func TestConversionCachePurgeOnRemove(t *testing.T) {

@@ -743,7 +743,7 @@ func (s *Site) match(ctx context.Context, st *siteState, prefXML, policyName str
 // defining cost — is kept faithful to the paper.
 func (s *Site) matchNative(st *siteState, prefXML, policyName string, m *resource.Meter) (Decision, error) {
 	start := time.Now()
-	conv, err := s.nativeConversion(prefXML)
+	conv, err := s.conversion(prefXML)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -761,13 +761,13 @@ func (s *Site) matchNative(st *siteState, prefXML, policyName string, m *resourc
 }
 
 // matchSQL runs the preference as SQL over the optimized schema. The
-// translation is fetched from the conversion cache (prepared once with
-// the policy id as a parameter, serving every policy); a cache hit
-// reports near-zero Convert, leaving only query execution on the
-// per-visit path — the §6.3.2 compiled-preferences deployment.
+// translation is fetched from the conversion cache (built once with the
+// policy id as a parameter, serving every policy); a cache hit reports
+// near-zero Convert, leaving only query execution on the per-visit path
+// — the §6.3.2 compiled-preferences deployment.
 func (s *Site) matchSQL(ctx context.Context, st *siteState, prefXML, policyName string, m *resource.Meter) (Decision, error) {
 	convertStart := time.Now()
-	conv, err := s.sqlConversion(st, prefXML)
+	rules, err := s.sqlConversion(prefXML)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -778,7 +778,7 @@ func (s *Site) matchSQL(ctx context.Context, st *siteState, prefXML, policyName 
 	ctx = resource.WithMeter(ctx, m)
 	id := int64(st.ids[policyName])
 	queryStart := time.Now()
-	for i, rule := range conv.rules {
+	for i, rule := range rules {
 		fired, err := st.optDB.QueryExistsStmtCtx(ctx, rule.stmt, reldb.Int(id))
 		if err != nil {
 			return Decision{}, fmt.Errorf("core: rule %d: %w", i+1, err)
@@ -803,7 +803,7 @@ func (s *Site) matchSQL(ctx context.Context, st *siteState, prefXML, policyName 
 // re-validated against the snapshot's id on every hit.
 func (s *Site) matchXTable(ctx context.Context, st *siteState, prefXML, policyName string, m *resource.Meter) (Decision, error) {
 	convertStart := time.Now()
-	conv, err := s.xtableConversion(st, prefXML, policyName)
+	conv, rules, err := s.xtableConversion(st, prefXML, policyName)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -811,7 +811,7 @@ func (s *Site) matchXTable(ctx context.Context, st *siteState, prefXML, policyNa
 
 	ctx = resource.WithMeter(ctx, m)
 	queryStart := time.Now()
-	for i, rule := range conv.rules {
+	for i, rule := range rules {
 		ok, err := st.genDB.QueryExistsStmtCtx(ctx, rule.stmt)
 		if err != nil {
 			return Decision{}, fmt.Errorf("core: rule %d: %w", i+1, err)
@@ -835,7 +835,7 @@ func (s *Site) matchXTable(ctx context.Context, st *siteState, prefXML, policyNa
 // conversion cache; the policy is bound per match via the resolver alias.
 func (s *Site) matchXQueryNative(st *siteState, prefXML, policyName string, m *resource.Meter) (Decision, error) {
 	convertStart := time.Now()
-	conv, err := s.xqueryConversion(prefXML)
+	conv, rules, err := s.xqueryConversion(prefXML)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -846,7 +846,7 @@ func (s *Site) matchXQueryNative(st *siteState, prefXML, policyName string, m *r
 	// so binding the policy costs a map lookup instead of an alias map
 	// and closure allocation per match.
 	ev := xquery.NewEvaluator(st.resolvers[policyName]).WithMeter(m)
-	for i, rule := range conv.rules {
+	for i, rule := range rules {
 		out, err := ev.Run(rule.query)
 		if err != nil {
 			return Decision{}, err

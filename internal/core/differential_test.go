@@ -8,9 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"p3pdb/internal/appel"
 	"p3pdb/internal/p3p"
 	"p3pdb/internal/reldb"
 	"p3pdb/internal/resource"
+	"p3pdb/internal/sqlgen"
 	"p3pdb/internal/workload"
 )
 
@@ -192,8 +194,31 @@ func adversarialPreference(rules int) string {
 	return b.String()
 }
 
+// nestedAdversarialPreference is adversarial in one rule rather than in
+// many: a single POLICY expression carrying the given number of STATEMENT
+// expressions, each listing six PURPOSE values under the and connective.
+// The SQL translation spends one query block per statement and one per
+// value, so nine statements outgrow the relational engine's 64-block
+// statement limit while eight stay under it, although the body nests no
+// deeper than any other preference. The non-and connective keeps it
+// outside the summary-safe fragment, so a /check falls back to the
+// engine.
+func nestedAdversarialPreference(statements int) string {
+	var b strings.Builder
+	b.WriteString(`<appel:RULESET xmlns:appel="http://www.w3.org/2002/01/APPELv1"` +
+		` xmlns="http://www.w3.org/2002/01/P3Pv1">` +
+		`<appel:RULE behavior="block"><POLICY appel:connective="non-and">`)
+	for i := 0; i < statements; i++ {
+		b.WriteString(`<STATEMENT><PURPOSE appel:connective="and">` +
+			`<current/><admin/><develop/><contact/><telemarketing/><individual-decision/>` +
+			`</PURPOSE></STATEMENT>`)
+	}
+	b.WriteString(`</POLICY></appel:RULE><appel:OTHERWISE behavior="request"/></appel:RULESET>`)
+	return b.String()
+}
+
 // TestAdversarialDifferential: with no fault active, all engines agree
-// with the native baseline on the adversarial preference across a corpus
+// with the native baseline on the adversarial preferences across a corpus
 // cross-section.
 func TestAdversarialDifferential(t *testing.T) {
 	d := workload.Generate(42)
@@ -207,8 +232,11 @@ func TestAdversarialDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	prefs := map[int]string{0: nestedAdversarialPreference(8)} // just under the block limit
 	for _, rules := range []int{1, 8, 24} {
-		pref := adversarialPreference(rules)
+		prefs[rules] = adversarialPreference(rules)
+	}
+	for rules, pref := range prefs {
 		for _, pol := range policies {
 			base, err := s.MatchPolicy(pref, pol.Name, EngineNative)
 			if err != nil {
@@ -275,6 +303,34 @@ func TestAdversarialPreferenceBudgetAborts(t *testing.T) {
 		if elapsed > 5*time.Second {
 			t.Fatalf("%v: budget abort took %v, not bounded", engine, elapsed)
 		}
+	}
+
+	// Limits come before budgets. A body whose SQL translation outgrows
+	// the engine's statement limits is refused when it is converted, with
+	// or without a budget — and the statement, built as a tree, is
+	// refused with the very error Prepare gives its printed text. The
+	// native engine has no such limit and still decides.
+	nested := nestedAdversarialPreference(9)
+	rs, err := appel.Parse(nested)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := sqlgen.TranslateRulesetOptimized(rs, "SELECT ? AS policy_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, textErr := free.DB().Prepare(queries[0].SQL)
+	if !errors.Is(textErr, reldb.ErrTooComplex) {
+		t.Fatalf("Prepare of the printed nested rule: want ErrTooComplex, got %v", textErr)
+	}
+	for name, s := range map[string]*Site{"free": free, "capped": capped} {
+		_, err := s.MatchPolicy(nested, pol.Name, EngineSQL)
+		if !errors.Is(err, reldb.ErrTooComplex) || !strings.HasSuffix(err.Error(), textErr.Error()) {
+			t.Fatalf("%s site, nested body on the SQL engine: got %v, want the text path's %v", name, err, textErr)
+		}
+	}
+	if _, err := free.MatchPolicy(nested, pol.Name, EngineNative); err != nil {
+		t.Fatalf("native engine on the nested body: %v", err)
 	}
 }
 

@@ -166,3 +166,37 @@ func TestFaultAfterIsDeterministic(t *testing.T) {
 		t.Fatalf("fault fired %d times, want 1", got)
 	}
 }
+
+// TestConvFillFiresOncePerFill: the fill point sits where a conversion-
+// cache entry is made, not where an engine asks for one. A never-seen
+// preference is therefore one hit however many consumers it has — the
+// fast path of a check, the SQL engine the check falls back to, then the
+// XQuery and native engines — and the only other fill is XTABLE's
+// per-policy entry.
+func TestConvFillFiresOncePerFill(t *testing.T) {
+	t.Cleanup(faultkit.Reset)
+	s := siteWithVolga(t)
+	pref := workload.PreferenceVariants("Medium", 1)[0].XML
+	// One fill passes; the second one fails.
+	if err := faultkit.Enable(faultkit.PointConvFill + ":error:after=1"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.CheckPolicy(pref, "volga", EngineSQL)
+	if err != nil || res.FastPath {
+		t.Fatalf("check should fall back and succeed on the one allowed fill: %+v, %v", res, err)
+	}
+	for _, engine := range []Engine{EngineXQuery, EngineNative} {
+		if _, err := s.MatchPolicy(pref, "volga", engine); err != nil {
+			t.Fatalf("%v should reuse the preference's entry, got %v", engine, err)
+		}
+	}
+	if got := faultkit.Firings(faultkit.PointConvFill); got != 0 {
+		t.Fatalf("fault fired %d times before any second fill", got)
+	}
+	if _, err := s.MatchPolicy(pref, "volga", EngineXTable); !errors.Is(err, faultkit.ErrInjected) {
+		t.Fatalf("XTABLE's per-policy entry is a second fill and should hit the fault, got %v", err)
+	}
+	if got := faultkit.Firings(faultkit.PointConvFill); got != 1 {
+		t.Fatalf("fault fired %d times, want 1", got)
+	}
+}

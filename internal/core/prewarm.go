@@ -306,7 +306,7 @@ func maskFor(mask []bool, n int) []bool {
 }
 
 func (s *Site) prewarmNative(st *siteState, p *prefindex.Pref, policy string, mask []bool, m *resource.Meter) (decision.Outcome, error) {
-	conv, err := s.nativeConversion(p.XML)
+	conv, err := s.conversion(p.XML)
 	if err != nil {
 		return decision.Outcome{}, err
 	}
@@ -339,14 +339,14 @@ func (s *Site) prewarmNative(st *siteState, p *prefindex.Pref, policy string, ma
 }
 
 func (s *Site) prewarmSQL(st *siteState, p *prefindex.Pref, policy string, mask []bool, m *resource.Meter) (decision.Outcome, error) {
-	conv, err := s.sqlConversion(st, p.XML)
+	rules, err := s.sqlConversion(p.XML)
 	if err != nil {
 		return decision.Outcome{}, err
 	}
-	mask = maskFor(mask, len(conv.rules))
+	mask = maskFor(mask, len(rules))
 	ctx := resource.WithMeter(context.Background(), m)
 	id := int64(st.ids[policy])
-	for i, rule := range conv.rules {
+	for i, rule := range rules {
 		if mask != nil && !mask[i] {
 			continue
 		}
@@ -367,13 +367,13 @@ func (s *Site) prewarmSQL(st *siteState, p *prefindex.Pref, policy string, mask 
 }
 
 func (s *Site) prewarmXTable(st *siteState, p *prefindex.Pref, policy string, mask []bool, m *resource.Meter) (decision.Outcome, error) {
-	conv, err := s.xtableConversion(st, p.XML, policy)
+	conv, rules, err := s.xtableConversion(st, p.XML, policy)
 	if err != nil {
 		return decision.Outcome{}, err
 	}
-	mask = maskFor(mask, len(conv.rules))
+	mask = maskFor(mask, len(rules))
 	ctx := resource.WithMeter(context.Background(), m)
-	for i, rule := range conv.rules {
+	for i, rule := range rules {
 		if mask != nil && !mask[i] {
 			continue
 		}
@@ -394,13 +394,13 @@ func (s *Site) prewarmXTable(st *siteState, p *prefindex.Pref, policy string, ma
 }
 
 func (s *Site) prewarmXQuery(st *siteState, p *prefindex.Pref, policy string, mask []bool, m *resource.Meter) (decision.Outcome, error) {
-	conv, err := s.xqueryConversion(p.XML)
+	conv, rules, err := s.xqueryConversion(p.XML)
 	if err != nil {
 		return decision.Outcome{}, err
 	}
-	mask = maskFor(mask, len(conv.rules))
+	mask = maskFor(mask, len(rules))
 	ev := xquery.NewEvaluator(st.resolvers[policy]).WithMeter(m)
-	for i, rule := range conv.rules {
+	for i, rule := range rules {
 		if mask != nil && !mask[i] {
 			continue
 		}

@@ -89,12 +89,11 @@ type dbStats struct {
 // concurrent use: SELECTs run under a shared lock and proceed in
 // parallel; DDL and DML take the exclusive lock.
 type DB struct {
-	mu         sync.RWMutex
-	tables     map[string]*Table
-	opts       Options
-	maxDepth   int
-	maxSelects int
-	stats      dbStats
+	mu     sync.RWMutex
+	tables map[string]*Table
+	opts   Options
+	limits complexity // opts' statement-complexity limits, defaults resolved
+	stats  dbStats
 	// frozen marks the database immutable. Site snapshots freeze their
 	// databases once fully populated: from then on SELECTs skip the
 	// shared lock entirely — even an uncontended RWMutex.RLock is an
@@ -165,18 +164,11 @@ func New() *DB { return NewWithOptions(Options{}) }
 // NewWithOptions returns an empty database with the given options.
 func NewWithOptions(opts Options) *DB {
 	d := &DB{
-		tables:     map[string]*Table{},
-		opts:       opts,
-		maxDepth:   opts.MaxSubqueryDepth,
-		maxSelects: opts.MaxSubqueries,
+		tables: map[string]*Table{},
+		opts:   opts,
+		limits: opts.limits(),
 	}
 	d.viewCache.Store(&map[string]*viewSnapshot{})
-	if d.maxDepth == 0 {
-		d.maxDepth = defaultMaxSubqueryDepth
-	}
-	if d.maxSelects == 0 {
-		d.maxSelects = defaultMaxSubqueries
-	}
 	return d
 }
 
@@ -287,7 +279,7 @@ func (db *DB) InsertRows(table string, rows [][]Value) (int, error) {
 // ExecCtx is Exec governed by a context: cancellation and the engine's
 // step budget abort DML row scans with a typed error.
 func (db *DB) ExecCtx(ctx context.Context, sql string, params ...Value) (int, error) {
-	stmt, err := parseWithLimit(sql, db.maxDepth, db.maxSelects)
+	stmt, err := parseWithLimit(sql, db.limits)
 	if err != nil {
 		return 0, err
 	}
@@ -365,7 +357,7 @@ func (db *DB) Query(sql string, params ...Value) (*Rows, error) {
 // periodically by the row evaluator) and the engine's step budget abort
 // execution with ErrCanceled / ErrBudgetExceeded.
 func (db *DB) QueryCtx(ctx context.Context, sql string, params ...Value) (*Rows, error) {
-	stmt, err := parseWithLimit(sql, db.maxDepth, db.maxSelects)
+	stmt, err := parseWithLimit(sql, db.limits)
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +403,7 @@ func (db *DB) QueryExists(sql string, params ...Value) (bool, error) {
 
 // QueryExistsCtx is QueryExists governed by a context.
 func (db *DB) QueryExistsCtx(ctx context.Context, sql string, params ...Value) (bool, error) {
-	stmt, err := parseWithLimit(sql, db.maxDepth, db.maxSelects)
+	stmt, err := parseWithLimit(sql, db.limits)
 	if err != nil {
 		return false, err
 	}
@@ -422,7 +414,7 @@ func (db *DB) QueryExistsCtx(ctx context.Context, sql string, params ...Value) (
 // executing it, like a database PREPARE. Statements beyond the limits fail
 // here with ErrTooComplex.
 func (db *DB) Prepare(sql string) (Statement, error) {
-	return parseWithLimit(sql, db.maxDepth, db.maxSelects)
+	return parseWithLimit(sql, db.limits)
 }
 
 // QueryExistsStmt is QueryExists over an already-prepared statement.
@@ -1278,31 +1270,23 @@ func buildDerivedIndex(rows [][]Value, ords []int) map[string][]int {
 }
 
 // bestIndex returns the index of t covering the largest subset of the
-// available equality columns, or nil.
+// available equality columns, or nil; among equally large ones, the first
+// by name. It runs once per probe of a correlated subquery, so it walks
+// the table's precomputed index order and allocates nothing.
 func bestIndex(t *Table, available []int) *index {
-	avail := map[int]bool{}
-	for _, o := range available {
-		avail[o] = true
-	}
 	var best *index
-	var names []string
-	for n := range t.indexes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		ix := t.indexes[n]
-		ok := true
+	for _, ix := range t.byName {
+		if best != nil && len(ix.columns) <= len(best.columns) {
+			continue
+		}
+		covered := true
 		for _, c := range ix.columns {
-			if !avail[c] {
-				ok = false
+			if !slices.Contains(available, c) {
+				covered = false
 				break
 			}
 		}
-		if !ok {
-			continue
-		}
-		if best == nil || len(ix.columns) > len(best.columns) {
+		if covered {
 			best = ix
 		}
 	}

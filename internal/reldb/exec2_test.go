@@ -264,3 +264,37 @@ func TestConcurrentReadWrite(t *testing.T) {
 		t.Errorf("final count: %q", flat(got))
 	}
 }
+
+// TestBestIndexChoice pins the access-path choice the executor makes per
+// probe: the covered index with the most columns, and among equals the
+// first by (case-folded) name — whatever order the indexes were created
+// in.
+func TestBestIndexChoice(t *testing.T) {
+	db := New()
+	db.MustExec(`CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER, PRIMARY KEY (a, b, c))`)
+	db.MustExec(`CREATE INDEX zeta ON t (a)`)
+	db.MustExec(`CREATE INDEX mid ON t (a, b)`)
+	db.MustExec(`CREATE INDEX Beta ON t (a)`)
+	db.MustExec(`CREATE INDEX alpha ON t (b)`)
+	tbl := db.Table("t")
+	for _, c := range []struct {
+		available []int
+		want      string
+	}{
+		{[]int{0}, "Beta"},
+		{[]int{1}, "alpha"},
+		{[]int{0, 1}, "mid"},
+		{[]int{0, 1, 2}, "__pk"},
+		{[]int{0, 2}, "Beta"},
+		{[]int{2}, ""},
+		{nil, ""},
+	} {
+		got := ""
+		if ix := bestIndex(tbl, c.available); ix != nil {
+			got = ix.name
+		}
+		if got != c.want {
+			t.Errorf("available columns %v: chose %q, want %q", c.available, got, c.want)
+		}
+	}
+}

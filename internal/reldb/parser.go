@@ -8,44 +8,27 @@ import (
 
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
-	toks    []token
-	pos     int
-	src     string
-	params  int // number of '?' parameters seen
-	depth   int // current subquery nesting depth
-	selects int // total SELECT blocks seen in the statement
-	// maxDepth and maxSelects bound subquery nesting and the total
-	// number of query blocks; statements beyond either are rejected as
-	// "too complex", emulating statement-complexity limits of the era's
-	// database engines (the paper's XTABLE-generated SQL for the Medium
-	// preference hit such a limit on DB2).
-	maxDepth   int
-	maxSelects int
+	toks   []token
+	pos    int
+	src    string
+	params int // number of '?' parameters seen
+	// complexity bounds subquery nesting and the number of query blocks
+	// (ast.go); statements beyond either limit are rejected as "too
+	// complex" while they are read, before the recursion goes deeper.
+	complexity
 }
 
-// ErrTooComplex is wrapped by parse errors caused by exceeding the engine's
-// statement-complexity limit.
-var ErrTooComplex = fmt.Errorf("statement too complex")
-
-// Parse parses a single SQL statement.
+// Parse parses a single SQL statement under the default complexity limits.
 func Parse(src string) (Statement, error) {
-	return parseWithLimit(src, defaultMaxSubqueryDepth, defaultMaxSubqueries)
+	return parseWithLimit(src, Options{}.limits())
 }
 
-// defaultMaxSubqueryDepth and defaultMaxSubqueries are the engine's
-// statement-complexity limits: the maximum nesting depth of subqueries and
-// the maximum number of query blocks in one statement.
-const (
-	defaultMaxSubqueryDepth = 24
-	defaultMaxSubqueries    = 64
-)
-
-func parseWithLimit(src string, maxDepth, maxSelects int) (Statement, error) {
+func parseWithLimit(src string, limits complexity) (Statement, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: src, maxDepth: maxDepth, maxSelects: maxSelects}
+	p := &parser{toks: toks, src: src, complexity: limits}
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -165,12 +148,8 @@ func (p *parser) parseStatement() (Statement, error) {
 }
 
 func (p *parser) parseSelect() (*SelectStmt, error) {
-	if p.depth > p.maxDepth {
-		return nil, fmt.Errorf("sql: %w: subquery nesting exceeds %d levels", ErrTooComplex, p.maxDepth)
-	}
-	p.selects++
-	if p.selects > p.maxSelects {
-		return nil, fmt.Errorf("sql: %w: statement has more than %d query blocks", ErrTooComplex, p.maxSelects)
+	if err := p.enter(); err != nil {
+		return nil, err
 	}
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err

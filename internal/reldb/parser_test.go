@@ -239,7 +239,8 @@ func TestComplexityLimit(t *testing.T) {
 	for i := 0; i < depth; i++ {
 		b.WriteString(")")
 	}
-	_, err := parseWithLimit(b.String(), 24, 1000)
+	tight := Options{MaxSubqueryDepth: 24, MaxSubqueries: 1000}
+	_, err := parseWithLimit(b.String(), tight.limits())
 	if err == nil {
 		t.Fatal("expected complexity error")
 	}
@@ -247,8 +248,23 @@ func TestComplexityLimit(t *testing.T) {
 		t.Errorf("error %v should wrap ErrTooComplex", err)
 	}
 	// Under the limit it parses.
-	if _, err := parseWithLimit(b.String(), 64, 1000); err != nil {
-		t.Errorf("under limit: %v", err)
+	loose := Options{MaxSubqueryDepth: 64, MaxSubqueries: 1000}
+	stmt, err := parseWithLimit(b.String(), loose.limits())
+	if err != nil {
+		t.Fatalf("under limit: %v", err)
+	}
+	// The same statement as a built tree meets the same limits with the
+	// same errors as its text: depth first, then the block count.
+	sel := stmt.(*SelectStmt)
+	if err := loose.CheckComplexity(sel); err != nil {
+		t.Errorf("built tree under limit: %v", err)
+	}
+	for _, o := range []Options{tight, {MaxSubqueryDepth: 64, MaxSubqueries: 20}, {MaxSubqueryDepth: 10, MaxSubqueries: 5}, {}} {
+		_, parseErr := parseWithLimit(b.String(), o.limits())
+		builtErr := o.CheckComplexity(sel)
+		if parseErr == nil || builtErr == nil || parseErr.Error() != builtErr.Error() || !errors.Is(builtErr, ErrTooComplex) {
+			t.Errorf("limits %+v: parsed text fails with %v, built tree with %v", o, parseErr, builtErr)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -31,6 +32,11 @@ type Table struct {
 	rows    [][]Value
 	live    int
 	indexes map[string]*index // by lowercase index name
+	// byName lists the indexes in the order of those names: the fixed
+	// order in which the executor considers them for a probe. It is kept
+	// up to date as indexes are added, so choosing an access path sorts
+	// nothing.
+	byName []*index
 	// version increments on every mutation; caches over the table's
 	// contents (materialized views) key on it.
 	version int64
@@ -54,7 +60,9 @@ func newTable(schema *TableSchema) *Table {
 			// NewTableSchema validated this already.
 			panic(err)
 		}
-		t.indexes["__pk"] = &index{name: "__pk", columns: ords, unique: true, buckets: map[string][]int{}}
+		pk := &index{name: "__pk", columns: ords, unique: true, buckets: map[string][]int{}}
+		t.indexes[pk.name] = pk
+		t.byName = []*index{pk}
 	}
 	return t
 }
@@ -252,38 +260,8 @@ func (t *Table) addIndex(name string, columns []string, unique bool) error {
 		ix.buckets[k] = append(ix.buckets[k], id)
 	}
 	t.indexes[key] = ix
-	return nil
-}
-
-// findIndex returns an index whose leading columns are exactly the given
-// ordinals (in any order), or nil. Used by the executor to turn equality
-// predicates into hash lookups.
-func (t *Table) findIndex(ords []int) *index {
-	want := append([]int(nil), ords...)
-	sort.Ints(want)
-	var names []string
-	for n := range t.indexes {
-		names = append(names, n)
-	}
-	sort.Strings(names) // deterministic choice
-	for _, n := range names {
-		ix := t.indexes[n]
-		if len(ix.columns) != len(want) {
-			continue
-		}
-		have := append([]int(nil), ix.columns...)
-		sort.Ints(have)
-		match := true
-		for i := range have {
-			if have[i] != want[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return ix
-		}
-	}
+	at := sort.Search(len(t.byName), func(i int) bool { return strings.ToLower(t.byName[i].name) > key })
+	t.byName = slices.Insert(t.byName, at, ix)
 	return nil
 }
 

@@ -93,6 +93,12 @@ func TestBudgetExceededIs503(t *testing.T) {
 	if e.Reason != "budget-exceeded" {
 		t.Fatalf("reason = %q, want budget-exceeded", e.Reason)
 	}
+	// A /check that falls past the fast path spends the same budget in
+	// the same engine and reports it the same way.
+	resp, e = postMatch(t, ts, "/check?url=/books/1&engine=sql", nestedPreference(2))
+	if resp.StatusCode != http.StatusServiceUnavailable || e.Reason != "budget-exceeded" {
+		t.Fatalf("/check: status %d reason %q, want 503 budget-exceeded", resp.StatusCode, e.Reason)
+	}
 }
 
 // TestDeadlineExceededIs504: a request timeout shorter than an injected

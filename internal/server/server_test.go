@@ -185,4 +185,33 @@ func TestTooComplexPreferenceOverHTTP(t *testing.T) {
 	if _, err := c.CanVisit("/x"); err != nil {
 		t.Errorf("sql engine should handle Medium: %v", err)
 	}
+	// The SQL engine has the same statement limits; they are checked on
+	// the statement it builds, and a body that outgrows them is the same
+	// 422 on /match and on a /check that falls back to the engine.
+	c.Preference = nestedPreference(9)
+	if _, err := c.CanVisit("/x"); err == nil || !strings.Contains(err.Error(), "422") {
+		t.Errorf("/match: expected 422 for a rule beyond the SQL engine's block limit, got %v", err)
+	}
+	if _, _, err := c.Check(CheckRequest{URL: "/x", Preference: c.Preference}); err == nil || !strings.Contains(err.Error(), "422") {
+		t.Errorf("/check: expected 422 for a rule beyond the SQL engine's block limit, got %v", err)
+	}
+	c.Preference = nestedPreference(8)
+	if _, err := c.CanVisit("/x"); err != nil {
+		t.Errorf("a rule just under the block limit should run: %v", err)
+	}
+}
+
+// nestedPreference is one block rule whose POLICY expression carries the
+// given number of STATEMENT expressions, each with six and-connected
+// PURPOSE values: one SQL query block per statement and per value, so
+// nine statements exceed the relational engine's 64-block limit. The
+// non-and connective puts it outside the /check fast path.
+func nestedPreference(statements int) string {
+	return `<appel:RULESET xmlns:appel="http://www.w3.org/2002/01/APPELv1"` +
+		` xmlns="http://www.w3.org/2002/01/P3Pv1">` +
+		`<appel:RULE behavior="block"><POLICY appel:connective="non-and">` +
+		strings.Repeat(`<STATEMENT><PURPOSE appel:connective="and">`+
+			`<current/><admin/><develop/><contact/><telemarketing/><individual-decision/>`+
+			`</PURPOSE></STATEMENT>`, statements) +
+		`</POLICY></appel:RULE><appel:OTHERWISE behavior="request"/></appel:RULESET>`
 }

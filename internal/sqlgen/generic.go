@@ -5,8 +5,14 @@ import (
 	"strings"
 
 	"p3pdb/internal/appel"
+	"p3pdb/internal/reldb"
 	"p3pdb/internal/shred"
 )
+
+// The generic translator serves no request — it exists for the paper's
+// Figure 11/13 comparison and the schema ablations — and writes SQL text
+// directly, as the paper's algorithm does. The helpers at the end of this
+// file are its string-level counterparts of optimized.go's tree builders.
 
 // GenericOptions configure translation against the generic (Figure 8)
 // schema.
@@ -284,3 +290,58 @@ var genericOrder = func() []string {
 	}
 	return names
 }()
+
+// combineConditions joins already-built boolean conditions with an APPEL
+// connective. Exact connectives cannot be expressed at this level (they
+// constrain the policy's elements, not conditions) and are handled by the
+// per-element translators; reaching here with one is an authoring error.
+func combineConditions(connective string, conds []string) (string, error) {
+	wrap := func(sep string) string {
+		if len(conds) == 1 {
+			return conds[0]
+		}
+		return "(" + strings.Join(conds, sep) + ")"
+	}
+	switch connective {
+	case appel.ConnAnd:
+		return wrap(" AND "), nil
+	case appel.ConnOr:
+		return wrap(" OR "), nil
+	case appel.ConnNonAnd:
+		return "NOT " + forceParens(wrap(" AND ")), nil
+	case appel.ConnNonOr:
+		return "NOT " + forceParens(wrap(" OR ")), nil
+	case appel.ConnAndExact, appel.ConnOrExact:
+		return "", fmt.Errorf("connective %s is only supported on value-list elements (PURPOSE, RECIPIENT, CATEGORIES, RETENTION)", connective)
+	}
+	return "", fmt.Errorf("unknown connective %q", connective)
+}
+
+func forceParens(s string) string {
+	if strings.HasPrefix(s, "(") && strings.HasSuffix(s, ")") {
+		return s
+	}
+	return "(" + s + ")"
+}
+
+func sqlString(s string) string {
+	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+}
+
+// refCondition builds the hierarchical data-reference predicate: the
+// pattern matches a stored (leaf-expanded) reference when they are equal
+// or one is a dotted prefix of the other.
+func refCondition(col, ref string) string {
+	if ref == "*" {
+		return ""
+	}
+	r := ref
+	if !strings.HasPrefix(r, "#") {
+		r = "#" + r
+	}
+	lit := sqlString(r)
+	below := sqlString(reldb.EscapeLike(r) + ".%")
+	return "(" + col + " = " + lit +
+		" OR " + col + " LIKE " + below +
+		" OR " + lit + " LIKE " + col + " || '.%')"
+}
