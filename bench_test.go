@@ -34,6 +34,9 @@ const benchSeed = 42
 var (
 	sharedSite *core.Site
 	sharedData *workload.Dataset
+	// uniqueVariantsUsed counts the preference variants
+	// BenchmarkMatchAllUnique has spent on the shared site.
+	uniqueVariantsUsed int
 )
 
 func site(b *testing.B) (*core.Site, *workload.Dataset) {
@@ -142,6 +145,38 @@ func BenchmarkMatchParallel(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkMatchAllUnique is the benchmark's matchall_sql workload in
+// process: one MatchAll on the SQL engine across the 29 policies per
+// op, each with a preference text no earlier op used, alternating High
+// and Very High. The conversion and decision caches miss by
+// construction, so an op is one conversion plus 29 policies' statement
+// executions; allocations per op are the figure the bound reldb plan is
+// held to.
+func BenchmarkMatchAllUnique(b *testing.B) {
+	s, d := site(b)
+	// The site and its caches outlive one run of this function (the
+	// b.N ramp, -count), so each run takes variants no earlier run did.
+	from := uniqueVariantsUsed
+	uniqueVariantsUsed += b.N/2 + 1
+	high := workload.PreferenceVariants("High", uniqueVariantsUsed)[from:]
+	veryHigh := workload.PreferenceVariants("Very High", uniqueVariantsUsed)[from:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pref := high[i/2]
+		if i%2 == 1 {
+			pref = veryHigh[i/2]
+		}
+		ds, err := s.MatchAll(pref.XML, core.EngineSQL)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(ds) != len(d.Policies) {
+			b.Fatalf("matched %d policies, want %d", len(ds), len(d.Policies))
+		}
 	}
 }
 

@@ -76,8 +76,8 @@ func (s *Site) CompilePreference(prefXML string) (*CompiledPreference, error) {
 // Only query execution remains on the per-visit path. Compiled matches
 // run lock-free against the current snapshot, concurrently with each
 // other, with every other match, and with policy writes: the
-// statements are database-independent trees, so a compilation outlives
-// the snapshot it was made against.
+// statements and the plans reldb binds for them depend on the schema,
+// not on a database, so a compilation outlives its snapshot.
 func (s *Site) MatchCompiled(c *CompiledPreference, policyName string) (Decision, error) {
 	st := s.state.Load()
 	id, ok := st.ids[policyName]

@@ -273,9 +273,10 @@ func (s *Site) conversion(prefXML string) (*prefConv, error) {
 }
 
 // sqlConversion returns a preference's translation against the optimized
-// schema, through the cache: statements built directly as reldb executes
-// them, with the policy id as a parameter, bound to no database instance,
-// so they serve every policy and stay valid across snapshot swaps.
+// schema, through the cache: statements built directly as reldb binds and
+// executes them, with the policy id as a parameter. reldb binds a plan to
+// the schema's catalog, not to a database, so statement and plan serve
+// every policy and stay valid across snapshot swaps.
 func (s *Site) sqlConversion(prefXML string) ([]compiledRule, error) {
 	c, err := s.conversion(prefXML)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"p3pdb/internal/obs"
+	"p3pdb/internal/p3p"
 	"p3pdb/internal/workload"
 )
 
@@ -327,5 +328,54 @@ func TestConversionCacheObsGaugeExactSharded(t *testing.T) {
 	}
 	if got := entriesG.Value() - e0; got != int64(size) {
 		t.Errorf("obs entries delta = %d after churn, site size = %d (gauge drift)", got, size)
+	}
+}
+
+// TestBoundStatementsServeNextGeneration pins what lets one conversion-
+// cache entry outlive snapshots now that statements carry a bound plan:
+// the plan binds to the schema's catalog, which every generation's
+// database shares, not to the database it first ran against. A
+// preference matched under generation N is matched again — from the same
+// cached entry, without another conversion — after a publish that adds,
+// replaces and removes policies, and every decision still agrees with the
+// native engine, which binds nothing.
+func TestBoundStatementsServeNextGeneration(t *testing.T) {
+	s := newCacheTestSite(t, Options{DisableDecisionCache: true})
+	d := workload.Generate(42)
+	pref, _ := workload.PreferenceByLevel("High")
+	agree := func() {
+		t.Helper()
+		for _, name := range s.PolicyNames() {
+			want, err := s.MatchPolicy(pref.XML, name, EngineNative)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.MatchPolicy(pref.XML, name, EngineSQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Behavior != want.Behavior || got.RuleIndex != want.RuleIndex {
+				t.Errorf("%s: sql %s/rule %d, native %s/rule %d", name, got.Behavior, got.RuleIndex, want.Behavior, want.RuleIndex)
+			}
+		}
+	}
+	agree()
+	gen := s.state.Load().gen
+	_, missesBefore, _ := s.ConversionCacheStats()
+
+	if err := s.RemovePolicy(d.Policies[0].Name); err != nil {
+		t.Fatal(err)
+	}
+	replacement := *d.Policies[5]
+	replacement.Name = d.Policies[1].Name // other content under an installed name
+	if err := s.ReplacePolicies([]*p3p.Policy{d.Policies[2], d.Policies[3], &replacement, d.Policies[6]}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s.state.Load().gen == gen {
+		t.Fatal("no new generation was published")
+	}
+	agree()
+	if _, misses, _ := s.ConversionCacheStats(); misses != missesBefore {
+		t.Errorf("matching the next generation converted again: %d misses, had %d", misses, missesBefore)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -350,13 +351,7 @@ func (s *Site) InstallReferenceFileXML(doc string) error {
 
 // PolicyNames returns the installed policy names, sorted.
 func (s *Site) PolicyNames() []string {
-	st := s.state.Load()
-	names := make([]string, 0, len(st.policyXML))
-	for n := range st.policyXML {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Clone(s.state.Load().names)
 }
 
 // PolicyXML returns the raw text of an installed policy (what a
@@ -776,10 +771,10 @@ func (s *Site) matchSQL(ctx context.Context, st *siteState, prefXML, policyName 
 	// The match meter rides the context into the relational engine, so
 	// one budget spans every rule statement.
 	ctx = resource.WithMeter(ctx, m)
-	id := int64(st.ids[policyName])
+	id := []reldb.Value{reldb.Int(int64(st.ids[policyName]))}
 	queryStart := time.Now()
 	for i, rule := range rules {
-		fired, err := st.optDB.QueryExistsStmtCtx(ctx, rule.stmt, reldb.Int(id))
+		fired, err := st.optDB.QueryExistsStmtCtx(ctx, rule.stmt, id...)
 		if err != nil {
 			return Decision{}, fmt.Errorf("core: rule %d: %w", i+1, err)
 		}

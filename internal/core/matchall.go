@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,11 +65,7 @@ func (s *Site) MatchAllCtx(ctx context.Context, prefXML string, engine Engine) (
 	// replace publishes a successor state, which this batch deliberately
 	// does not see — no torn mix of old and new policies.
 	st := s.state.Load()
-	names := make([]string, 0, len(st.policyXML))
-	for n := range st.policyXML {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := st.names // sorted, and immutable with the snapshot
 	if len(names) == 0 {
 		return nil, nil
 	}

@@ -345,12 +345,12 @@ func (s *Site) prewarmSQL(st *siteState, p *prefindex.Pref, policy string, mask 
 	}
 	mask = maskFor(mask, len(rules))
 	ctx := resource.WithMeter(context.Background(), m)
-	id := int64(st.ids[policy])
+	id := []reldb.Value{reldb.Int(int64(st.ids[policy]))}
 	for i, rule := range rules {
 		if mask != nil && !mask[i] {
 			continue
 		}
-		fired, err := st.optDB.QueryExistsStmtCtx(ctx, rule.stmt, reldb.Int(id))
+		fired, err := st.optDB.QueryExistsStmtCtx(ctx, rule.stmt, id...)
 		if err != nil {
 			return decision.Outcome{}, err
 		}

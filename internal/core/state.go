@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"p3pdb/internal/compact"
@@ -50,6 +51,9 @@ type siteState struct {
 	policyXML map[string]string
 	ids       map[string]int
 	order     []string
+	// names is the installed policy names, sorted: the order MatchAll
+	// and PolicyNames answer in, computed once per snapshot.
+	names []string
 	// nextID continues across snapshots and removals, so a policy id is
 	// never reused: a stale id-bound artifact can miss, never alias.
 	nextID int
@@ -262,12 +266,14 @@ func (s *Site) materialize(d *stateDraft) (*siteState, error) {
 		policyXML: make(map[string]string, len(d.policies)),
 		ids:       d.ids,
 		order:     d.order,
+		names:     slices.Clone(d.order),
 		nextID:    d.nextID,
 		compact:   make(map[string]*compactSummary, len(d.policies)),
 		prefs:     d.prefs,
 		gen:       stateGen.Add(1),
 		resolvers: make(map[string]func(string) (*xmldom.Node, error), len(d.policies)),
 	}
+	slices.Sort(st.names)
 	if s.artifacts == nil {
 		s.artifacts = map[*p3p.Policy]*policyArtifacts{}
 	}

@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // This file defines the abstract syntax tree for the SQL subset. Nodes are
-// plain structs; the executor interprets them directly (there is no separate
-// physical plan — access-path selection happens in the executor when a FROM
-// item is bound, see exec.go). A tree is either parsed from text
+// plain structs. The executor does not interpret them: a statement is bound
+// once into a plan (plan.go) — names resolved, access paths chosen — and
+// the plan is what runs (exec.go). A tree is either parsed from text
 // (parser.go) or built node by node (package sqlgen does, for the
 // preference queries the site serves); the end of this file holds what the
 // two routes share: the statement-complexity limits and the printer that
@@ -34,6 +35,11 @@ type SelectStmt struct {
 	Having   Expr
 	OrderBy  []OrderItem
 	Limit    int // -1 means no limit
+
+	// plan caches the statement's bound form (plan.go) for the catalog
+	// it last ran against. Only a statement handed to the engine's
+	// entry points carries one; subqueries are bound inside it.
+	plan atomic.Pointer[plan]
 }
 
 func (*SelectStmt) isStatement() {}

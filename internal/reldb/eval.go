@@ -5,208 +5,59 @@ import (
 	"strings"
 )
 
-// binding associates a FROM-item name with a row shape and the current row
-// during iteration.
-type binding struct {
-	name string   // lowercased alias/table name
-	cols []string // column names (lowercased)
-	row  []Value  // current row during iteration
-}
+// eval evaluates a bound expression against the statement's frame under
+// SQL three-valued logic: NULL propagates through operators, and boolean
+// operators follow Kleene logic. It is the engine's one evaluator: every
+// statement kind binds its expressions (plan.go) and evaluates them here.
+func (st *execState) eval(id int32) (Value, error) {
+	p := st.plan
+	x := &p.nodes[id]
+	switch x.op {
+	case opLit:
+		return *p.lits[x.a], nil
 
-func (b *binding) colIndex(name string) int {
-	name = strings.ToLower(name)
-	for i, c := range b.cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
+	case opParam:
+		return st.params[x.a], nil
 
-// env is a lexical scope of bindings. Subqueries get a child env whose
-// parent is the enclosing query's env, which is what makes correlated
-// EXISTS subqueries work.
-type env struct {
-	bindings []*binding
-	parent   *env
-}
+	case opCol:
+		return st.frame[x.a][x.b], nil
 
-// resolve finds the binding and ordinal for a column reference, searching
-// inner scopes before outer ones. An unqualified name must resolve
-// unambiguously within the innermost scope that knows it.
-func (e *env) resolve(table, column string) (*binding, int, error) {
-	table = strings.ToLower(table)
-	for scope := e; scope != nil; scope = scope.parent {
-		if table != "" {
-			for _, b := range scope.bindings {
-				if b.name == table {
-					if i := b.colIndex(column); i >= 0 {
-						return b, i, nil
-					}
-					return nil, 0, fmt.Errorf("sql: column %s.%s does not exist", table, column)
-				}
-			}
-			continue // alias not in this scope; look outward
-		}
-		var found *binding
-		idx := -1
-		for _, b := range scope.bindings {
-			if i := b.colIndex(column); i >= 0 {
-				if found != nil {
-					return nil, 0, fmt.Errorf("sql: column %s is ambiguous", column)
-				}
-				found, idx = b, i
-			}
-		}
-		if found != nil {
-			return found, idx, nil
-		}
-	}
-	if table != "" {
-		return nil, 0, fmt.Errorf("sql: unknown table or alias %s", table)
-	}
-	return nil, 0, fmt.Errorf("sql: column %s does not exist", column)
-}
-
-// evalCtx carries everything expression evaluation needs.
-type evalCtx struct {
-	db     *DB
-	env    *env
-	params []Value
-	st     *execState
-}
-
-// eval evaluates a scalar expression under SQL three-valued logic: NULL
-// propagates through operators, and boolean operators follow Kleene logic.
-func (c *evalCtx) eval(e Expr) (Value, error) {
-	switch x := e.(type) {
-	case *Literal:
-		return x.Value, nil
-
-	case *Param:
-		if x.Index >= len(c.params) {
-			return Null, fmt.Errorf("sql: parameter %d not bound (have %d)", x.Index+1, len(c.params))
-		}
-		return c.params[x.Index], nil
-
-	case *ColumnRef:
-		b, i, err := c.env.resolve(x.Table, x.Column)
-		if err != nil {
+	case opNot:
+		v, err := st.eval(x.a)
+		if err != nil || v.IsNull() {
 			return Null, err
 		}
-		return b.row[i], nil
+		b, _ := v.AsBool()
+		return Bool(!b), nil
 
-	case *UnaryExpr:
-		v, err := c.eval(x.Operand)
-		if err != nil {
+	case opNeg:
+		v, err := st.eval(x.a)
+		if err != nil || v.IsNull() {
 			return Null, err
 		}
-		switch x.Op {
-		case "NOT":
-			if v.IsNull() {
-				return Null, nil
-			}
-			b, _ := v.AsBool()
-			return Bool(!b), nil
-		case "-":
-			if v.IsNull() {
-				return Null, nil
-			}
-			if v.Kind() == KindFloat {
-				f, _ := v.AsFloat()
-				return Float(-f), nil
-			}
-			n, ok := v.AsInt()
-			if !ok {
-				return Null, fmt.Errorf("sql: cannot negate %s", v.Kind())
-			}
-			return Int(-n), nil
+		if v.Kind() == KindFloat {
+			f, _ := v.AsFloat()
+			return Float(-f), nil
 		}
-		return Null, fmt.Errorf("sql: unknown unary operator %s", x.Op)
+		n, ok := v.AsInt()
+		if !ok {
+			return Null, fmt.Errorf("sql: cannot negate %s", v.Kind())
+		}
+		return Int(-n), nil
 
-	case *BinaryExpr:
-		return c.evalBinary(x)
-
-	case *IsNullExpr:
-		v, err := c.eval(x.Operand)
-		if err != nil {
-			return Null, err
-		}
-		if x.Negated {
-			return Bool(!v.IsNull()), nil
-		}
-		return Bool(v.IsNull()), nil
-
-	case *InExpr:
-		return c.evalIn(x)
-
-	case *ExistsExpr:
-		rows, err := c.db.execSelect(x.Subquery, c.env, c.params, 1, c.st)
-		if err != nil {
-			return Null, err
-		}
-		found := len(rows.Data) > 0
-		if x.Negated {
-			found = !found
-		}
-		return Bool(found), nil
-
-	case *SubqueryExpr:
-		rows, err := c.db.execSelect(x.Subquery, c.env, c.params, 2, c.st)
-		if err != nil {
-			return Null, err
-		}
-		if len(rows.Data) == 0 {
-			return Null, nil
-		}
-		if len(rows.Data) > 1 {
-			return Null, fmt.Errorf("sql: scalar subquery returned %d rows", len(rows.Data))
-		}
-		if len(rows.Data[0]) != 1 {
-			return Null, fmt.Errorf("sql: scalar subquery returned %d columns", len(rows.Data[0]))
-		}
-		return rows.Data[0][0], nil
-
-	case *FuncExpr:
-		if aggregateFuncs[x.Name] {
-			return Null, fmt.Errorf("sql: aggregate %s used outside grouped query", x.Name)
-		}
-		return c.evalScalarFunc(x)
-
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			cond, err := c.eval(w.Cond)
-			if err != nil {
-				return Null, err
-			}
-			if b, known := cond.AsBool(); known && b {
-				return c.eval(w.Then)
-			}
-		}
-		if x.Else != nil {
-			return c.eval(x.Else)
-		}
-		return Null, nil
-	}
-	return Null, fmt.Errorf("sql: cannot evaluate %T", e)
-}
-
-func (c *evalCtx) evalBinary(x *BinaryExpr) (Value, error) {
-	switch x.Op {
-	case "AND":
-		l, err := c.eval(x.Left)
+	case opAnd:
+		l, err := st.eval(x.a)
 		if err != nil {
 			return Null, err
 		}
 		if lb, known := l.AsBool(); known && !lb {
 			return Bool(false), nil // short circuit
 		}
-		r, err := c.eval(x.Right)
+		r, err := st.eval(x.b)
 		if err != nil {
 			return Null, err
 		}
-		rb, rknown := r.AsBool()
-		if rknown && !rb {
+		if rb, known := r.AsBool(); known && !rb {
 			return Bool(false), nil
 		}
 		if l.IsNull() || r.IsNull() {
@@ -214,77 +65,132 @@ func (c *evalCtx) evalBinary(x *BinaryExpr) (Value, error) {
 		}
 		return Bool(true), nil
 
-	case "OR":
-		l, err := c.eval(x.Left)
+	case opOr:
+		l, err := st.eval(x.a)
 		if err != nil {
 			return Null, err
 		}
 		if lb, known := l.AsBool(); known && lb {
 			return Bool(true), nil // short circuit
 		}
-		r, err := c.eval(x.Right)
+		r, err := st.eval(x.b)
 		if err != nil {
 			return Null, err
 		}
-		if rb, rknown := r.AsBool(); rknown && rb {
+		if rb, known := r.AsBool(); known && rb {
 			return Bool(true), nil
 		}
 		if l.IsNull() || r.IsNull() {
 			return Null, nil
 		}
 		return Bool(false), nil
+
+	case opIsNull:
+		v, err := st.eval(x.a)
+		if err != nil {
+			return Null, err
+		}
+		return Bool(v.IsNull() != x.neg), nil
+
+	case opIn, opInSub:
+		return st.evalIn(x)
+
+	case opExists:
+		r := blockRun{need: 1}
+		if err := st.run(&p.blocks[x.b], &r); err != nil {
+			return Null, err
+		}
+		return Bool((r.n > 0) != x.neg), nil
+
+	case opScalar:
+		r := blockRun{need: 2, keep: true}
+		if err := st.run(&p.blocks[x.b], &r); err != nil {
+			return Null, err
+		}
+		switch {
+		case len(r.out) == 0:
+			return Null, nil
+		case len(r.out) > 1:
+			return Null, fmt.Errorf("sql: scalar subquery returned %d rows", len(r.out))
+		case len(r.out[0]) != 1:
+			return Null, fmt.Errorf("sql: scalar subquery returned %d columns", len(r.out[0]))
+		}
+		return r.out[0][0], nil
+
+	case opFunc:
+		return st.evalScalarFunc(x)
+
+	case opAgg:
+		return st.evalAggregate(x)
+
+	case opCase:
+		branches := p.list(x.b)
+		for i := 0; i+1 < len(branches); i += 2 {
+			cond, err := st.eval(branches[i])
+			if err != nil {
+				return Null, err
+			}
+			if b, known := cond.AsBool(); known && b {
+				return st.eval(branches[i+1])
+			}
+		}
+		if len(branches)%2 == 1 {
+			return st.eval(branches[len(branches)-1])
+		}
+		return Null, nil
 	}
 
-	l, err := c.eval(x.Left)
+	// The remaining operators are strict in both operands.
+	l, err := st.eval(x.a)
 	if err != nil {
 		return Null, err
 	}
-	r, err := c.eval(x.Right)
+	r, err := st.eval(x.b)
 	if err != nil {
 		return Null, err
 	}
 	if l.IsNull() || r.IsNull() {
 		return Null, nil
 	}
-
-	switch x.Op {
-	case "=":
+	switch x.op {
+	case opEq:
 		return Bool(Compare(l, r) == 0), nil
-	case "<>":
+	case opNe:
 		return Bool(Compare(l, r) != 0), nil
-	case "<":
+	case opLt:
 		return Bool(Compare(l, r) < 0), nil
-	case "<=":
+	case opLe:
 		return Bool(Compare(l, r) <= 0), nil
-	case ">":
+	case opGt:
 		return Bool(Compare(l, r) > 0), nil
-	case ">=":
+	case opGe:
 		return Bool(Compare(l, r) >= 0), nil
-	case "LIKE":
+	case opLike:
 		return Bool(likeMatch(l.AsString(), r.AsString())), nil
-	case "||":
+	case opConcat:
 		return Str(l.AsString() + r.AsString()), nil
-	case "+", "-", "*", "/":
-		return arith(x.Op, l, r)
 	}
-	return Null, fmt.Errorf("sql: unknown operator %s", x.Op)
+	return arith(x.op, l, r)
 }
 
-func arith(op string, l, r Value) (Value, error) {
+// arithNames spells opAdd..opDiv for error messages.
+var arithNames = [...]string{"+", "-", "*", "/"}
+
+func arith(op opcode, l, r Value) (Value, error) {
 	if l.Kind() == KindFloat || r.Kind() == KindFloat {
 		lf, lok := l.AsFloat()
 		rf, rok := r.AsFloat()
 		if !lok || !rok {
-			return Null, fmt.Errorf("sql: non-numeric operand for %s", op)
+			return Null, fmt.Errorf("sql: non-numeric operand for %s", arithNames[op-opAdd])
 		}
 		switch op {
-		case "+":
+		case opAdd:
 			return Float(lf + rf), nil
-		case "-":
+		case opSub:
 			return Float(lf - rf), nil
-		case "*":
+		case opMul:
 			return Float(lf * rf), nil
-		case "/":
+		case opDiv:
 			if rf == 0 {
 				return Null, fmt.Errorf("sql: division by zero")
 			}
@@ -294,91 +200,82 @@ func arith(op string, l, r Value) (Value, error) {
 	li, lok := l.AsInt()
 	ri, rok := r.AsInt()
 	if !lok || !rok {
-		return Null, fmt.Errorf("sql: non-numeric operand for %s", op)
+		return Null, fmt.Errorf("sql: non-numeric operand for %s", arithNames[op-opAdd])
 	}
 	switch op {
-	case "+":
+	case opAdd:
 		return Int(li + ri), nil
-	case "-":
+	case opSub:
 		return Int(li - ri), nil
-	case "*":
+	case opMul:
 		return Int(li * ri), nil
-	case "/":
+	case opDiv:
 		if ri == 0 {
 			return Null, fmt.Errorf("sql: division by zero")
 		}
 		return Int(li / ri), nil
 	}
-	return Null, fmt.Errorf("sql: unknown arithmetic operator %s", op)
+	return Null, fmt.Errorf("sql: unknown arithmetic operator %d", op)
 }
 
-func (c *evalCtx) evalIn(x *InExpr) (Value, error) {
-	v, err := c.eval(x.Operand)
-	if err != nil {
+func (st *execState) evalIn(x *node) (Value, error) {
+	v, err := st.eval(x.a)
+	if err != nil || v.IsNull() {
 		return Null, err
 	}
-	if v.IsNull() {
-		return Null, nil
-	}
 	sawNull := false
-	check := func(item Value) (bool, bool) { // (matched, null)
-		if item.IsNull() {
-			return false, true
-		}
-		return Compare(v, item) == 0, false
-	}
-	if x.Subquery != nil {
-		rows, err := c.db.execSelect(x.Subquery, c.env, c.params, 0, c.st)
-		if err != nil {
+	if x.op == opInSub {
+		r := blockRun{keep: true}
+		if err := st.run(&st.plan.blocks[x.b], &r); err != nil {
 			return Null, err
 		}
-		for _, row := range rows.Data {
+		for _, row := range r.out {
 			if len(row) != 1 {
 				return Null, fmt.Errorf("sql: IN subquery must return one column")
 			}
-			m, isNull := check(row[0])
-			if isNull {
+			if row[0].IsNull() {
 				sawNull = true
-			} else if m {
-				return Bool(!x.Negated), nil
+			} else if Compare(v, row[0]) == 0 {
+				return Bool(!x.neg), nil
 			}
 		}
 	} else {
-		for _, item := range x.List {
-			iv, err := c.eval(item)
+		for _, item := range st.plan.list(x.b) {
+			iv, err := st.eval(item)
 			if err != nil {
 				return Null, err
 			}
-			m, isNull := check(iv)
-			if isNull {
+			if iv.IsNull() {
 				sawNull = true
-			} else if m {
-				return Bool(!x.Negated), nil
+			} else if Compare(v, iv) == 0 {
+				return Bool(!x.neg), nil
 			}
 		}
 	}
 	if sawNull {
 		return Null, nil
 	}
-	return Bool(x.Negated), nil
+	return Bool(x.neg), nil
 }
 
-func (c *evalCtx) evalScalarFunc(x *FuncExpr) (Value, error) {
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := c.eval(a)
+func (st *execState) evalScalarFunc(x *node) (Value, error) {
+	name := st.plan.calls[x.a].Name
+	var buf [3]Value // no scalar function but COALESCE takes more
+	args := buf[:0]
+	for _, a := range st.plan.list(x.b) {
+		v, err := st.eval(a)
 		if err != nil {
 			return Null, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	need := func(n int) error {
 		if len(args) != n {
-			return fmt.Errorf("sql: %s expects %d argument(s), got %d", x.Name, n, len(args))
+			return fmt.Errorf("sql: %s expects %d argument(s), got %d", name, n, len(args))
 		}
 		return nil
 	}
-	switch x.Name {
+	switch name {
 	case "UPPER":
 		if err := need(1); err != nil {
 			return Null, err
@@ -434,7 +331,7 @@ func (c *evalCtx) evalScalarFunc(x *FuncExpr) (Value, error) {
 		return Null, nil
 	case "SUBSTR", "SUBSTRING":
 		if len(args) != 2 && len(args) != 3 {
-			return Null, fmt.Errorf("sql: %s expects 2 or 3 arguments", x.Name)
+			return Null, fmt.Errorf("sql: %s expects 2 or 3 arguments", name)
 		}
 		if args[0].IsNull() {
 			return Null, nil
@@ -459,7 +356,113 @@ func (c *evalCtx) evalScalarFunc(x *FuncExpr) (Value, error) {
 		}
 		return Str(rest), nil
 	}
-	return Null, fmt.Errorf("sql: unknown function %s", x.Name)
+	return Null, fmt.Errorf("sql: unknown function %s", name)
+}
+
+// evalAggregate computes an aggregate function over the rows of the
+// current group: each member's snapshot is put back in the frame and the
+// argument evaluated against it. Outside the grouped phase of a block
+// there is no group, and within an aggregate's argument there is none
+// either.
+func (st *execState) evalAggregate(x *node) (Value, error) {
+	call, args := st.plan.calls[x.a], st.plan.list(x.b)
+	g := st.agg
+	if g == nil {
+		return Null, fmt.Errorf("sql: aggregate %s used outside grouped query", call.Name)
+	}
+	if !call.Star && len(args) != 1 && len(g.snaps) > 0 {
+		return Null, fmt.Errorf("sql: %s expects one argument", call.Name)
+	}
+	var representative [][]Value
+	if len(g.snaps) > 0 {
+		representative = g.snaps[0]
+	}
+	st.agg = nil
+	defer func() {
+		copy(st.frame[g.base:], representative)
+		st.agg = g
+	}()
+
+	var count int64
+	var sum float64
+	allInt := true
+	var minV, maxV Value
+	haveVal := false
+	var distinctSeen map[string]bool
+	if call.Distinct {
+		distinctSeen = map[string]bool{}
+	}
+
+	for _, snap := range g.snaps {
+		if call.Star {
+			count++
+			continue
+		}
+		copy(st.frame[g.base:], snap)
+		v, err := st.eval(args[0])
+		if err != nil {
+			return Null, err
+		}
+		if v.IsNull() {
+			continue
+		}
+		if call.Distinct {
+			k := encodeKey([]Value{v})
+			if distinctSeen[k] {
+				continue
+			}
+			distinctSeen[k] = true
+		}
+		count++
+		if f, ok := v.AsFloat(); ok {
+			sum += f
+			if v.Kind() != KindInt {
+				allInt = false
+			}
+		} else if call.Name == "SUM" || call.Name == "AVG" {
+			return Null, fmt.Errorf("sql: %s of non-numeric value", call.Name)
+		}
+		if !haveVal {
+			minV, maxV = v, v
+			haveVal = true
+		} else {
+			if Compare(v, minV) < 0 {
+				minV = v
+			}
+			if Compare(v, maxV) > 0 {
+				maxV = v
+			}
+		}
+	}
+
+	switch call.Name {
+	case "COUNT":
+		return Int(count), nil
+	case "SUM":
+		if count == 0 {
+			return Null, nil
+		}
+		if allInt {
+			return Int(int64(sum)), nil
+		}
+		return Float(sum), nil
+	case "AVG":
+		if count == 0 {
+			return Null, nil
+		}
+		return Float(sum / float64(count)), nil
+	case "MIN":
+		if !haveVal {
+			return Null, nil
+		}
+		return minV, nil
+	case "MAX":
+		if !haveVal {
+			return Null, nil
+		}
+		return maxV, nil
+	}
+	return Null, fmt.Errorf("sql: unknown aggregate %s", call.Name)
 }
 
 // likeMatch implements SQL LIKE with '%' (any run), '_' (any one byte),

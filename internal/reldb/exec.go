@@ -115,6 +115,8 @@ type DB struct {
 	// The map behind the pointer is immutable — fills copy-on-write —
 	// so lookups are one atomic load, shared-lock-free.
 	viewCache atomic.Pointer[map[string]*viewSnapshot]
+	// cat caches the catalog plans bind to (plan.go); DDL clears it.
+	cat atomic.Pointer[catalog]
 }
 
 // viewSnapshot is one cached bare-view materialization. version and rows
@@ -307,8 +309,10 @@ func (db *DB) ExecStmtCtx(ctx context.Context, stmt Statement, params ...Value) 
 	defer db.finish(st)
 	switch s := stmt.(type) {
 	case *CreateTableStmt:
+		db.cat.Store(nil)
 		return 0, db.createTable(s)
 	case *CreateIndexStmt:
+		db.cat.Store(nil)
 		return 0, db.createIndex(s)
 	case *DropTableStmt:
 		key := strings.ToLower(s.Table)
@@ -316,6 +320,7 @@ func (db *DB) ExecStmtCtx(ctx context.Context, stmt Statement, params ...Value) 
 			return 0, fmt.Errorf("sql: table %s does not exist", s.Table)
 		}
 		delete(db.tables, key)
+		db.cat.Store(nil)
 		// A later table with the same name restarts its version counter,
 		// so a stale snapshot could alias it; drop the cache entry
 		// (copy-on-write, so in-flight readers keep a coherent map).
@@ -339,7 +344,7 @@ func (db *DB) ExecStmtCtx(ctx context.Context, stmt Statement, params ...Value) 
 	case *DeleteStmt:
 		return db.execDelete(s, params, st)
 	case *SelectStmt:
-		rows, err := db.execSelect(s, nil, params, 0, st)
+		rows, err := db.selectRows(s, params, st)
 		if err != nil {
 			return 0, err
 		}
@@ -392,7 +397,7 @@ func (db *DB) QueryStmtCtx(ctx context.Context, stmt Statement, params ...Value)
 	obsStatements.Inc()
 	st := newExecState(db.meterFor(ctx))
 	defer db.finish(st)
-	return db.execSelect(sel, nil, params, 0, st)
+	return db.selectRows(sel, params, st)
 }
 
 // QueryExists executes a SELECT and reports whether it produced any row,
@@ -441,11 +446,7 @@ func (db *DB) QueryExistsStmtCtx(ctx context.Context, stmt Statement, params ...
 	obsStatements.Inc()
 	st := newExecState(db.meterFor(ctx))
 	defer db.finish(st)
-	rows, err := db.execSelect(sel, nil, params, 1, st)
-	if err != nil {
-		return false, err
-	}
-	return len(rows.Data) > 0, nil
+	return db.selectExists(sel, params, st)
 }
 
 // MustExec is Exec that panics on error; intended for tests and fixtures.
@@ -492,15 +493,25 @@ func (db *DB) execInsert(s *InsertStmt, params []Value, st *execState) (int, err
 	if err != nil {
 		return 0, err
 	}
-	ctx := &evalCtx{db: db, env: &env{}, params: params, st: st}
-	n := 0
-	for _, exprRow := range s.Rows {
+	// The values see no table: they bind in an empty scope.
+	dc := db.catalog()
+	bd := newBinder(dc)
+	rows := make([]int32, len(s.Rows))
+	for i, exprRow := range s.Rows {
 		if len(exprRow) != len(ords) {
-			return n, fmt.Errorf("sql: INSERT has %d values for %d columns", len(exprRow), len(ords))
+			return 0, fmt.Errorf("sql: INSERT has %d values for %d columns", len(exprRow), len(ords))
 		}
+		if rows[i], err = bd.exprs(exprRow, -1); err != nil {
+			return 0, err
+		}
+	}
+	if err := st.begin(db, dc, bd.p, params); err != nil {
+		return 0, err
+	}
+	for n, values := range rows {
 		row := make([]Value, len(t.schema.Columns))
-		for i, e := range exprRow {
-			v, err := ctx.eval(e)
+		for i, e := range bd.p.list(values) {
+			v, err := st.eval(e)
 			if err != nil {
 				return n, err
 			}
@@ -509,64 +520,65 @@ func (db *DB) execInsert(s *InsertStmt, params []Value, st *execState) (int, err
 		if err := t.insert(row); err != nil {
 			return n, err
 		}
-		n++
 	}
-	return n, nil
+	return len(rows), nil
+}
+
+// matching scans t — the one source of block 0, the bound scope of an
+// UPDATE or DELETE — and returns the ids of the rows its WHERE accepts.
+func (st *execState) matching(t *Table) ([]int, error) {
+	var ids []int
+	for id, row := range t.rows {
+		if row == nil {
+			continue
+		}
+		st.rows++
+		if err := st.step(1); err != nil {
+			return nil, err
+		}
+		st.frame[0] = row
+		ok, err := st.filter(&st.plan.blocks[0])
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			ids = append(ids, id)
+		}
+	}
+	return ids, nil
 }
 
 func (db *DB) execUpdate(s *UpdateStmt, params []Value, st *execState) (int, error) {
-	t, ok := db.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return 0, fmt.Errorf("sql: table %s does not exist", s.Table)
+	dc := db.catalog()
+	bd := newBinder(dc)
+	if err := bd.tableBlock(s.Table, s.Where); err != nil {
+		return 0, err
 	}
-	cols := make([]string, len(t.schema.Columns))
-	for i, c := range t.schema.Columns {
-		cols[i] = strings.ToLower(c.Name)
-	}
-	b := &binding{name: strings.ToLower(t.schema.Name), cols: cols}
-	scope := &env{bindings: []*binding{b}}
-	ctx := &evalCtx{db: db, env: scope, params: params, st: st}
+	t := dc.byID[bd.p.sources[0].table]
 	setOrds := make([]int, len(s.Set))
-	for i, sc := range s.Set {
-		ord := t.schema.ColumnIndex(sc.Column)
-		if ord < 0 {
-			return 0, fmt.Errorf("sql: table %s has no column %s", s.Table, sc.Column)
+	set := make([]int32, len(s.Set))
+	for i, c := range s.Set {
+		if setOrds[i] = t.schema.ColumnIndex(c.Column); setOrds[i] < 0 {
+			return 0, fmt.Errorf("sql: table %s has no column %s", s.Table, c.Column)
 		}
-		setOrds[i] = ord
+		var err error
+		if set[i], err = bd.expr(c.Value, 0); err != nil {
+			return 0, err
+		}
+	}
+	if err := st.begin(db, dc, bd.p, params); err != nil {
+		return 0, err
 	}
 	// Collect matching ids first, then mutate, so the scan is stable.
-	var ids [][]Value
-	var idNums []int
-	var scanErr error
-	t.scan(func(id int, row []Value) bool {
-		st.rows++
-		if err := st.step(1); err != nil {
-			scanErr = err
-			return false
-		}
-		b.row = row
-		if s.Where != nil {
-			v, err := ctx.eval(s.Where)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !truthy(v) {
-				return true
-			}
-		}
-		idNums = append(idNums, id)
-		ids = append(ids, row)
-		return true
-	})
-	if scanErr != nil {
-		return 0, scanErr
+	ids, err := st.matching(t)
+	if err != nil {
+		return 0, err
 	}
-	for i, id := range idNums {
-		b.row = ids[i]
-		newRow := append([]Value(nil), ids[i]...)
-		for j, sc := range s.Set {
-			v, err := ctx.eval(sc.Value)
+	for i, id := range ids {
+		st.frame[0] = t.rows[id]
+		newRow := slices.Clone(t.rows[id])
+		for j, e := range set {
+			v, err := st.eval(e)
 			if err != nil {
 				return i, err
 			}
@@ -576,44 +588,22 @@ func (db *DB) execUpdate(s *UpdateStmt, params []Value, st *execState) (int, err
 			return i, err
 		}
 	}
-	return len(idNums), nil
+	return len(ids), nil
 }
 
 func (db *DB) execDelete(s *DeleteStmt, params []Value, st *execState) (int, error) {
-	t, ok := db.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return 0, fmt.Errorf("sql: table %s does not exist", s.Table)
+	dc := db.catalog()
+	bd := newBinder(dc)
+	if err := bd.tableBlock(s.Table, s.Where); err != nil {
+		return 0, err
 	}
-	cols := make([]string, len(t.schema.Columns))
-	for i, c := range t.schema.Columns {
-		cols[i] = strings.ToLower(c.Name)
+	if err := st.begin(db, dc, bd.p, params); err != nil {
+		return 0, err
 	}
-	b := &binding{name: strings.ToLower(t.schema.Name), cols: cols}
-	ctx := &evalCtx{db: db, env: &env{bindings: []*binding{b}}, params: params, st: st}
-	var ids []int
-	var scanErr error
-	t.scan(func(id int, row []Value) bool {
-		st.rows++
-		if err := st.step(1); err != nil {
-			scanErr = err
-			return false
-		}
-		b.row = row
-		if s.Where != nil {
-			v, err := ctx.eval(s.Where)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !truthy(v) {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		return true
-	})
-	if scanErr != nil {
-		return 0, scanErr
+	t := dc.byID[bd.p.sources[0].table]
+	ids, err := st.matching(t)
+	if err != nil {
+		return 0, err
 	}
 	for _, id := range ids {
 		t.delete(id)
@@ -624,18 +614,31 @@ func (db *DB) execDelete(s *DeleteStmt, params []Value, st *execState) (int, err
 // errEnough unwinds join recursion once the caller's row quota is met.
 var errEnough = errors.New("enough rows")
 
-// execState carries per-statement execution caches. The derived map
-// memoizes materializations of cacheable derived tables — the
-// "(SELECT * FROM t)" view-reconstruction wrappers the XTABLE path
-// generates — so each view is materialized once per statement instead of
-// once per correlated subquery evaluation.
+// execState is everything one executing statement owns: the bound
+// plan's row frame, the memo of its derived tables, its work counters
+// and its resource meter. Plans are shared and immutable; all that
+// changes while a statement runs is here, and the state is pooled, so a
+// statement whose blocks only test for existence — every preference
+// rule — allocates nothing.
 type execState struct {
-	derived map[*SelectStmt]*Rows
-	// derivedIdx memoizes hash indexes built over cached derived tables,
-	// keyed by the derived statement and the indexed column set. They
-	// make equality joins against materialized views hash probes instead
-	// of repeated scans.
-	derivedIdx map[*SelectStmt]map[string]map[string][]int
+	db     *DB
+	plan   *plan
+	tables []*Table // the database's tables in catalog order
+	params []Value
+	// frame holds the current row of every FROM source of the statement,
+	// by frame slot; bound column references index it directly. probed
+	// records, per slot, whether the source's current rows came from its
+	// probe, which is what lets the filter skip the conjuncts the probe
+	// key was built from.
+	frame  [][]Value
+	probed []bool
+	// derived holds, per slot, the materialization of a derived table.
+	derived []derivedRows
+	// key is the scratch buffer probe keys are encoded into.
+	key []byte
+	// agg is the group whose rows aggregate functions range over; nil
+	// outside the grouped phase of a block.
+	agg *aggGroup
 	// meter is the statement's resource governor: the row evaluator
 	// charges it one step per row visited (and one per query block
 	// entered), aborting with ErrBudgetExceeded / ErrCanceled. Nil means
@@ -647,6 +650,52 @@ type execState struct {
 	// atomic add per statement instead of one per row.
 	rows       int64
 	idxLookups int64
+}
+
+// derivedRows is the materialization of one derived table for the block
+// entry (or, for the cacheable "(SELECT * FROM t)" shape, the statement)
+// that is running. rows and arena are reused from one entry to the next.
+type derivedRows struct {
+	rows  [][]Value
+	arena []Value
+	// view is set when rows are the DB-level view cache's; its hash
+	// indexes are shared across statements.
+	view *viewSnapshot
+	// index memoizes the hash index over a statement-cached
+	// materialization, so it is built once per statement.
+	index map[string][]int
+	// cached marks rows as this statement's materialization of a
+	// cacheable derived table.
+	cached bool
+}
+
+// maxPooledArena is the largest derived-table buffer, in values, that a
+// pooled execState keeps.
+const maxPooledArena = 64
+
+// execStatePool recycles per-statement state. The matching hot path runs
+// one statement per preference rule; with the pool a statement reuses
+// the frame, key buffer and derived-table buffers of the one before it.
+var execStatePool = sync.Pool{New: func() any { return new(execState) }}
+
+func newExecState(m *resource.Meter) *execState {
+	st := execStatePool.Get().(*execState)
+	st.meter = m
+	return st
+}
+
+// begin readies the state to execute a plan bound to dc against db. A
+// statement that reads more parameters than it was given fails here,
+// before any row is read.
+func (st *execState) begin(db *DB, dc *catalog, p *plan, params []Value) error {
+	if len(params) < p.nParams {
+		return fmt.Errorf("sql: parameter %d not bound (have %d)", len(params)+1, len(params))
+	}
+	st.db, st.plan, st.tables, st.params = db, p, dc.byID, params
+	st.frame = slices.Grow(st.frame[:0], p.nSlots)[:p.nSlots]
+	st.probed = slices.Grow(st.probed[:0], p.nSlots)[:p.nSlots]
+	st.derived = slices.Grow(st.derived[:0], p.nSlots)[:p.nSlots]
+	return nil
 }
 
 // finish flushes a statement's locally accumulated work counters to the
@@ -662,9 +711,17 @@ func (db *DB) finish(st *execState) {
 		db.stats.indexLookups.Add(st.idxLookups)
 		obsIndexLookups.Add(st.idxLookups)
 	}
-	clear(st.derived)
-	clear(st.derivedIdx)
-	st.meter = nil
+	clear(st.frame)
+	for i := range st.derived {
+		d := &st.derived[i]
+		if d.view != nil || cap(d.arena) > maxPooledArena {
+			*d = derivedRows{} // the view's rows are not ours; large buffers are not worth keeping
+			continue
+		}
+		clear(d.arena[:cap(d.arena)]) // keep the buffers, not what they referred to
+		*d = derivedRows{rows: d.rows[:0], arena: d.arena[:0]}
+	}
+	st.db, st.plan, st.tables, st.params, st.agg, st.meter = nil, nil, nil, nil, nil, nil
 	st.rows, st.idxLookups = 0, 0
 	execStatePool.Put(st)
 }
@@ -673,445 +730,433 @@ func (db *DB) finish(st *execState) {
 // meter.
 func (st *execState) step(n int64) error { return st.meter.Step(n) }
 
-// cacheableDerived reports whether a derived table can be memoized for
-// the whole statement: a bare projection of one base table with no
-// filtering, which cannot be correlated to any outer binding.
-func cacheableDerived(sel *SelectStmt) bool {
-	return sel.Star && len(sel.From) == 1 && sel.From[0].Table != "" &&
-		sel.Where == nil && len(sel.GroupBy) == 0 && sel.Having == nil &&
-		len(sel.OrderBy) == 0 && sel.Limit < 0 && !sel.Distinct
+// selectRows binds (or reuses the bound form of) a SELECT and returns
+// every row it produces. The caller must hold db.mu, shared or
+// exclusive, or the database must be frozen: execution never mutates
+// table state, and its two caches (the DB-level view cache and the
+// per-snapshot derived indexes) synchronize themselves.
+func (db *DB) selectRows(sel *SelectStmt, params []Value, st *execState) (*Rows, error) {
+	r := blockRun{keep: true}
+	if err := db.runSelect(sel, params, st, &r); err != nil {
+		return nil, err
+	}
+	return &Rows{Columns: slices.Clone(st.plan.blocks[0].columns), Data: r.out}, nil
 }
 
-// fromSource is a bound FROM item: either a base table (with index access)
-// or a materialized derived table.
-type fromSource struct {
-	binding *binding
-	table   *Table    // nil for derived tables
-	rows    [][]Value // materialized rows for derived tables
-	// derivedStmt is set when rows came from the statement-level derived
-	// cache, enabling memoized hash indexes over them.
-	derivedStmt *SelectStmt
-	// view is set when rows came from the DB-level bare-view cache; its
-	// hash indexes are shared across statements.
-	view *viewSnapshot
+// selectExists is selectRows for a caller that only asks whether there
+// is a row: it stops at the first and materializes none.
+func (db *DB) selectExists(sel *SelectStmt, params []Value, st *execState) (bool, error) {
+	r := blockRun{need: 1}
+	err := db.runSelect(sel, params, st, &r)
+	return r.n > 0, err
 }
 
-// bareViewSnapshot serves "(SELECT * FROM t)" from the materialized-view
-// cache, refreshing it when the table has changed. The caller must hold
-// db.mu (shared or exclusive) or the database must be frozen; the table
-// therefore cannot mutate while the snapshot is built. The hit path is
-// one atomic load and a map lookup — no lock — so the XTABLE engine's
-// per-rule view probes never serialize readers. Concurrent readers that
-// find the cache stale serialize on viewMu: the first materializes and
-// publishes a copied map, the rest reuse.
-func (db *DB) bareViewSnapshot(sel *SelectStmt) (*viewSnapshot, []string, bool) {
-	if db.opts.DisableViewCache || !cacheableDerived(sel) {
-		return nil, nil, false
+func (db *DB) runSelect(sel *SelectStmt, params []Value, st *execState, r *blockRun) error {
+	p, dc, err := db.planFor(sel)
+	if err != nil {
+		return err
 	}
-	t, ok := db.tables[strings.ToLower(sel.From[0].Table)]
-	if !ok {
-		return nil, nil, false
+	if err := st.begin(db, dc, p, params); err != nil {
+		return err
 	}
-	cols := make([]string, len(t.schema.Columns))
-	for i, c := range t.schema.Columns {
-		cols[i] = strings.ToLower(c.Name)
-	}
-	key := strings.ToLower(t.schema.Name)
-	if snap := (*db.viewCache.Load())[key]; snap != nil && snap.version == t.version {
-		obsViewHits.Inc()
-		return snap, cols, true
-	}
-	db.viewMu.Lock()
-	defer db.viewMu.Unlock()
-	cur := *db.viewCache.Load()
-	snap := cur[key]
-	if snap == nil || snap.version != t.version {
-		obsViewMisses.Inc()
-		rows := make([][]Value, 0, t.live)
-		t.scan(func(_ int, row []Value) bool {
-			rows = append(rows, row)
-			return true
-		})
-		snap = newViewSnapshot(t.version, rows)
-		next := make(map[string]*viewSnapshot, len(cur)+1)
-		for k, v := range cur {
-			next[k] = v
-		}
-		next[key] = snap
-		db.viewCache.Store(&next)
-	} else {
-		obsViewHits.Inc()
-	}
-	return snap, cols, true
+	return st.run(&p.blocks[0], r)
 }
 
-// execStatePool recycles per-statement state. The matching hot path runs
-// one statement per preference rule; without the pool each statement
-// allocates a fresh execState (and, for XTABLE, its derived-cache maps),
-// which at scale-out turns into allocator and GC pressure shared across
-// every worker.
-var execStatePool = sync.Pool{New: func() any { return new(execState) }}
-
-func newExecState(m *resource.Meter) *execState {
-	st := execStatePool.Get().(*execState)
-	st.meter = m
-	return st
+// blockRun is the output side of one entry into a block.
+type blockRun struct {
+	need  int  // a simple block stops after this many rows; 0 means all
+	keep  bool // collect the rows in out (otherwise only count them)
+	n     int  // rows produced
+	out   [][]Value
+	arena []Value   // rows are cut from chunks of this
+	keys  [][]Value // ORDER BY keys, parallel to out
+	seen  map[string]bool
+	// groups collects, per GROUP BY key, a snapshot of the block's part
+	// of the frame for every member row.
+	groups   []*aggGroup
+	groupIdx map[string]int
 }
 
-// execSelect runs a SELECT. outer is the enclosing scope for correlated
-// subqueries (nil at top level). needRows > 0 allows stopping early once
-// that many output rows exist (only when no ordering/grouping/distinct
-// would be violated). The caller must hold db.mu, shared or exclusive:
-// execution never mutates table state, and its two caches (the DB-level
-// view cache and the per-snapshot derived indexes) synchronize themselves.
-func (db *DB) execSelect(sel *SelectStmt, outer *env, params []Value, needRows int, st *execState) (*Rows, error) {
+// aggGroup is one group of a grouped block: the frame slots the block
+// owns and, per member row, what they held.
+type aggGroup struct {
+	base  int
+	snaps [][][]Value
+}
+
+// newRow cuts an n-value row from the arena. Chunks are never copied,
+// so rows cut earlier stay valid as the arena grows.
+func (r *blockRun) newRow(n int) []Value {
+	if cap(r.arena)-len(r.arena) < n {
+		r.arena = make([]Value, 0, max(2*cap(r.arena), n, 16))
+	}
+	at := len(r.arena)
+	r.arena = r.arena[:at+n]
+	return r.arena[at : at+n : at+n]
+}
+
+// run enters block b once: it materializes the block's derived tables,
+// joins its sources, and leaves in r what the block produced. Aggregates
+// of an enclosing block are out of reach while it runs.
+func (st *execState) run(b *block, r *blockRun) error {
+	outer := st.agg
+	st.agg = nil
+	err := st.runBlock(b, r)
+	st.agg = outer
+	return err
+}
+
+func (st *execState) runBlock(b *block, r *blockRun) error {
 	// Each query block entered charges one step, so deeply nested
 	// subqueries consume budget even over empty tables, and the
 	// periodic context poll happens at least once per block.
 	if err := st.step(1); err != nil {
-		return nil, err
+		return err
 	}
-	// Bind FROM items.
-	sources := make([]*fromSource, len(sel.From))
-	scope := &env{parent: outer}
-	for i, fi := range sel.From {
-		src := &fromSource{}
-		name := strings.ToLower(fi.Name())
-		if fi.Subquery != nil {
-			if snap, cols, ok := db.bareViewSnapshot(fi.Subquery); ok {
-				src.binding = &binding{name: name, cols: cols}
-				src.rows = snap.rows
-				src.view = snap
-				sources[i] = src
-				scope.bindings = append(scope.bindings, src.binding)
-				continue
-			}
-			var sub *Rows
-			if cacheableDerived(fi.Subquery) {
-				if cached, ok := st.derived[fi.Subquery]; ok {
-					sub = cached
-				}
-			}
-			if sub == nil {
-				var err error
-				sub, err = db.execSelect(fi.Subquery, outer, params, 0, st)
-				if err != nil {
-					return nil, err
-				}
-				if cacheableDerived(fi.Subquery) {
-					if st.derived == nil {
-						st.derived = map[*SelectStmt]*Rows{}
-					}
-					st.derived[fi.Subquery] = sub
-				}
-			}
-			cols := make([]string, len(sub.Columns))
-			for j, c := range sub.Columns {
-				cols[j] = strings.ToLower(c)
-			}
-			src.binding = &binding{name: name, cols: cols}
-			src.rows = sub.Data
-			if cacheableDerived(fi.Subquery) {
-				src.derivedStmt = fi.Subquery
-			}
-		} else {
-			t, ok := db.tables[strings.ToLower(fi.Table)]
-			if !ok {
-				return nil, fmt.Errorf("sql: table %s does not exist", fi.Table)
-			}
-			cols := make([]string, len(t.schema.Columns))
-			for j, c := range t.schema.Columns {
-				cols[j] = strings.ToLower(c.Name)
-			}
-			src.binding = &binding{name: name, cols: cols}
-			src.table = t
-		}
-		sources[i] = src
-		scope.bindings = append(scope.bindings, src.binding)
+	if !b.simple {
+		r.keep, r.need = true, 0
 	}
+	sources := st.plan.sourcesOf(b)
 	for i := range sources {
-		for j := i + 1; j < len(sources); j++ {
-			if sources[i].binding.name == sources[j].binding.name {
-				return nil, fmt.Errorf("sql: duplicate table alias %s", sources[i].binding.name)
-			}
-		}
-	}
-
-	ctx := &evalCtx{db: db, env: scope, params: params, st: st}
-	conjuncts := splitAnd(sel.Where)
-
-	grouped := len(sel.GroupBy) > 0 || hasAggregate(sel.Having)
-	for _, it := range sel.Items {
-		if hasAggregate(it.Expr) {
-			grouped = true
-		}
-	}
-	if grouped && sel.Star {
-		return nil, fmt.Errorf("sql: SELECT * cannot be combined with aggregation")
-	}
-
-	// Output column names.
-	var columns []string
-	if sel.Star {
-		for _, src := range sources {
-			columns = append(columns, src.binding.cols...)
-		}
-	} else {
-		for i, it := range sel.Items {
-			switch {
-			case it.Alias != "":
-				columns = append(columns, it.Alias)
-			default:
-				if cr, ok := it.Expr.(*ColumnRef); ok {
-					columns = append(columns, strings.ToLower(cr.Column))
-				} else {
-					columns = append(columns, fmt.Sprintf("col%d", i+1))
-				}
-			}
-		}
-	}
-
-	earlyExit := needRows > 0 && !grouped && !sel.Distinct && len(sel.OrderBy) == 0 && sel.Limit < 0
-
-	var out [][]Value
-	var orderKeys [][]Value
-	seen := map[string]bool{} // for DISTINCT
-
-	// groups collects per-group snapshots of all binding rows.
-	type group struct {
-		key       []Value
-		snapshots [][][]Value // one snapshot per member row: per-binding rows
-	}
-	var groups []*group
-	groupIdx := map[string]int{}
-
-	emit := func() error {
-		if sel.Where != nil {
-			v, err := ctx.eval(sel.Where)
-			if err != nil {
-				return err
-			}
-			if !truthy(v) {
-				return nil
-			}
-		}
-		if grouped {
-			keyVals := make([]Value, len(sel.GroupBy))
-			for i, g := range sel.GroupBy {
-				v, err := ctx.eval(g)
-				if err != nil {
-					return err
-				}
-				keyVals[i] = v
-			}
-			k := encodeKey(keyVals)
-			gi, ok := groupIdx[k]
-			if !ok {
-				gi = len(groups)
-				groupIdx[k] = gi
-				groups = append(groups, &group{key: keyVals})
-			}
-			snap := make([][]Value, len(sources))
-			for i, src := range sources {
-				snap[i] = src.binding.row
-			}
-			groups[gi].snapshots = append(groups[gi].snapshots, snap)
-			return nil
-		}
-		var row []Value
-		if sel.Star {
-			for _, src := range sources {
-				row = append(row, src.binding.row...)
-			}
-		} else {
-			row = make([]Value, len(sel.Items))
-			for i, it := range sel.Items {
-				v, err := ctx.eval(it.Expr)
-				if err != nil {
-					return err
-				}
-				row[i] = v
-			}
-		}
-		if sel.Distinct {
-			k := encodeKey(row)
-			if seen[k] {
-				return nil
-			}
-			seen[k] = true
-		}
-		if len(sel.OrderBy) > 0 {
-			keys := make([]Value, len(sel.OrderBy))
-			for i, oi := range sel.OrderBy {
-				v, err := ctx.eval(oi.Expr)
-				if err != nil {
-					return err
-				}
-				keys[i] = v
-			}
-			orderKeys = append(orderKeys, keys)
-		}
-		out = append(out, row)
-		if earlyExit && len(out) >= needRows {
-			return errEnough
-		}
-		return nil
-	}
-
-	var join func(i int) error
-	join = func(i int) error {
-		if i == len(sources) {
-			return emit()
-		}
-		src := sources[i]
-		if src.table != nil {
-			if ids, usable := db.indexCandidates(src, conjuncts, sources[:i], outer, ctx); usable {
-				for _, id := range ids {
-					row := src.table.rows[id]
-					if row == nil {
-						continue
-					}
-					if err := st.step(1); err != nil {
-						return err
-					}
-					src.binding.row = row
-					if err := join(i + 1); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			var scanErr error
-			src.table.scan(func(_ int, row []Value) bool {
-				st.rows++
-				if err := st.step(1); err != nil {
-					scanErr = err
-					return false
-				}
-				src.binding.row = row
-				if err := join(i + 1); err != nil {
-					scanErr = err
-					return false
-				}
-				return true
-			})
-			return scanErr
-		}
-		if ids, usable := db.derivedCandidates(src, conjuncts, sources[:i], outer, ctx, st); usable {
-			for _, id := range ids {
-				if err := st.step(1); err != nil {
-					return err
-				}
-				src.binding.row = src.rows[id]
-				if err := join(i + 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, row := range src.rows {
-			st.rows++
-			if err := st.step(1); err != nil {
-				return err
-			}
-			src.binding.row = row
-			if err := join(i + 1); err != nil {
+		if sources[i].sub >= 0 {
+			if err := st.materialize(&sources[i], int(b.base)+i); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-
-	if len(sources) == 0 {
-		// SELECT without FROM: a single conceptual row.
-		if err := emit(); err != nil && err != errEnough {
-			return nil, err
-		}
-	} else if err := join(0); err != nil && err != errEnough {
-		return nil, err
+	// A SELECT without FROM joins nothing: one conceptual row.
+	if err := st.join(b, 0, r); err != nil && err != errEnough {
+		return err
 	}
-
-	if grouped {
-		// An aggregate query with no GROUP BY aggregates over everything,
-		// producing one row even for empty input.
-		if len(sel.GroupBy) == 0 && len(groups) == 0 {
-			groups = append(groups, &group{})
-		}
-		for _, g := range groups {
-			// Rebind a representative row (first snapshot) so that
-			// GROUP BY columns evaluate normally.
-			if len(g.snapshots) > 0 {
-				for i, src := range sources {
-					src.binding.row = g.snapshots[0][i]
-				}
-			} else {
-				for _, src := range sources {
-					src.binding.row = make([]Value, len(src.binding.cols))
-				}
-			}
-			agg := &aggCtx{ctx: ctx, sources: sources, snapshots: g.snapshots}
-			if sel.Having != nil {
-				v, err := agg.eval(sel.Having)
-				if err != nil {
-					return nil, err
-				}
-				if !truthy(v) {
-					continue
-				}
-			}
-			row := make([]Value, len(sel.Items))
-			for i, it := range sel.Items {
-				v, err := agg.eval(it.Expr)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			if len(sel.OrderBy) > 0 {
-				keys := make([]Value, len(sel.OrderBy))
-				for i, oi := range sel.OrderBy {
-					v, err := agg.eval(oi.Expr)
-					if err != nil {
-						return nil, err
-					}
-					keys[i] = v
-				}
-				orderKeys = append(orderKeys, keys)
-			}
-			out = append(out, row)
+	if b.grouped {
+		if err := st.emitGroups(b, r); err != nil {
+			return err
 		}
 	}
-
-	if len(sel.OrderBy) > 0 {
-		idx := make([]int, len(out))
+	if orderBy := st.plan.list(b.orderBy); len(orderBy) > 0 {
+		idx := make([]int, len(r.out))
 		for i := range idx {
 			idx[i] = i
 		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ka, kb := orderKeys[idx[a]], orderKeys[idx[b]]
-			for i, oi := range sel.OrderBy {
-				c := compareForOrder(ka[i], kb[i])
+		sort.SliceStable(idx, func(x, y int) bool {
+			kx, ky := r.keys[idx[x]], r.keys[idx[y]]
+			for i := range kx {
+				c := compareForOrder(kx[i], ky[i])
 				if c == 0 {
 					continue
 				}
-				if oi.Desc {
+				if orderBy[2*i+1] != 0 { // descending
 					return c > 0
 				}
 				return c < 0
 			}
 			return false
 		})
-		sorted := make([][]Value, len(out))
+		sorted := make([][]Value, len(r.out))
 		for i, j := range idx {
-			sorted[i] = out[j]
+			sorted[i] = r.out[j]
 		}
-		out = sorted
+		r.out = sorted
 	}
+	if b.limit >= 0 && len(r.out) > int(b.limit) {
+		r.out = r.out[:b.limit]
+	}
+	if r.keep {
+		r.n = len(r.out)
+	}
+	return nil
+}
 
-	if sel.Limit >= 0 && len(out) > sel.Limit {
-		out = out[:sel.Limit]
+// materialize fills the derived table at slot for this entry of its
+// block: from the view cache, from the statement's earlier
+// materialization, or by running the subquery.
+func (st *execState) materialize(src *source, slot int) error {
+	d := &st.derived[slot]
+	if src.view >= 0 && !st.db.opts.DisableViewCache {
+		d.view = st.db.viewSnapshot(st.tables[src.view])
+		d.rows = d.view.rows
+		return nil
 	}
-	return &Rows{Columns: columns, Data: out}, nil
+	if d.cached {
+		return nil
+	}
+	r := blockRun{keep: true, out: d.rows[:0], arena: d.arena[:0]}
+	err := st.run(&st.plan.blocks[src.sub], &r)
+	d.rows, d.arena, d.index, d.cached = r.out, r.arena, nil, src.view >= 0 && err == nil
+	return err
+}
+
+// join binds sources i.. of b in turn — each by its probe when it has
+// one, by scan otherwise — and emits a row for every combination.
+func (st *execState) join(b *block, i int, r *blockRun) error {
+	if i == int(b.nsrc) {
+		return st.emit(b, r)
+	}
+	src := &st.plan.sources[int(b.src)+i]
+	slot := int(b.base) + i
+	probe := src.key >= 0 && !st.db.opts.DisableIndexes
+	if src.sub < 0 {
+		t := st.tables[src.table]
+		if st.probed[slot] = probe; probe {
+			key, err := st.probeKey(src.key)
+			if key == nil {
+				return err
+			}
+			for _, id := range t.byName[src.index].buckets[string(key)] {
+				if row := t.rows[id]; row != nil {
+					if err := st.joinRow(b, i, r, row); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
+		for _, row := range t.rows {
+			if row != nil {
+				st.rows++
+				if err := st.joinRow(b, i, r, row); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	// A derived table: equality joins against a materialization of any
+	// size worth hashing are hash probes.
+	d := &st.derived[slot]
+	if st.probed[slot] = probe && len(d.rows) >= 8; st.probed[slot] {
+		var buckets map[string][]int
+		switch {
+		case d.view != nil:
+			// Shared across statements; the snapshot builds it under its own
+			// lock so concurrent SELECTs can race the build safely.
+			buckets = d.view.index(src.hash.name, src.hash.cols)
+		case d.cached:
+			if d.index == nil {
+				d.index = buildDerivedIndex(d.rows, src.hash.cols)
+			}
+			buckets = d.index
+		default:
+			buckets = buildDerivedIndex(d.rows, src.hash.cols)
+		}
+		key, err := st.probeKey(src.key)
+		if key == nil {
+			return err
+		}
+		for _, id := range buckets[string(key)] {
+			if err := st.joinRow(b, i, r, d.rows[id]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, row := range d.rows {
+		st.rows++
+		if err := st.joinRow(b, i, r, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// joinRow charges one candidate row of source i, puts it in the frame
+// and joins the sources after it.
+func (st *execState) joinRow(b *block, i int, r *blockRun, row []Value) error {
+	if err := st.step(1); err != nil {
+		return err
+	}
+	st.frame[int(b.base)+i] = row
+	return st.join(b, i+1, r)
+}
+
+// probeKey evaluates a probe's key expressions against the frame and
+// encodes them as the key of the lookup it counts. A NULL component
+// matches nothing: the key is then nil, with no error, and no lookup.
+func (st *execState) probeKey(key int32) ([]byte, error) {
+	buf := st.key[:0]
+	for _, e := range st.plan.list(key) {
+		v, err := st.eval(e)
+		if err != nil || v.IsNull() {
+			return nil, err
+		}
+		buf = appendKeyValue(buf, v)
+	}
+	st.key = buf
+	st.idxLookups++
+	return buf, nil
+}
+
+// filter evaluates b's WHERE against the frame, skipping the conjuncts
+// the probes that produced the current rows were keyed on. Like the AND
+// chain it came from it stops at the first false conjunct but not at a
+// NULL one, which rejects the row while the conjuncts after it are still
+// evaluated (and their subqueries charged).
+func (st *execState) filter(b *block) (bool, error) {
+	pass := true
+	for _, c := range st.plan.whereOf(b) {
+		if c.cover >= 0 && st.probed[c.cover] {
+			continue
+		}
+		v, err := st.eval(c.e)
+		if err != nil {
+			return false, err
+		}
+		if t, known := v.AsBool(); !known {
+			pass = false
+		} else if !t {
+			return false, nil
+		}
+	}
+	return pass, nil
+}
+
+// emit takes the frame's current combination of rows through the
+// block's WHERE and on to its output: a group, a count, or a projected
+// row.
+func (st *execState) emit(b *block, r *blockRun) error {
+	if ok, err := st.filter(b); !ok {
+		return err
+	}
+	p := st.plan
+	mine := st.frame[b.base : b.base+b.nsrc] // the block's part of the frame
+	if b.grouped {
+		groupBy := p.list(b.groupBy)
+		key := make([]Value, len(groupBy))
+		for i, g := range groupBy {
+			v, err := st.eval(g)
+			if err != nil {
+				return err
+			}
+			key[i] = v
+		}
+		k := encodeKey(key)
+		gi, ok := r.groupIdx[k]
+		if !ok {
+			if r.groupIdx == nil {
+				r.groupIdx = map[string]int{}
+			}
+			gi = len(r.groups)
+			r.groupIdx[k] = gi
+			r.groups = append(r.groups, &aggGroup{base: int(b.base)})
+		}
+		r.groups[gi].snaps = append(r.groups[gi].snaps, slices.Clone(mine))
+		return nil
+	}
+	items := p.list(b.items)
+	if !r.keep {
+		if !b.pure {
+			for _, it := range items {
+				if _, err := st.eval(it); err != nil {
+					return err
+				}
+			}
+		}
+		if r.n++; r.n >= r.need && r.need > 0 {
+			return errEnough
+		}
+		return nil
+	}
+	var row []Value
+	if b.star {
+		row = r.newRow(len(b.columns))[:0]
+		for _, src := range mine {
+			row = append(row, src...)
+		}
+	} else {
+		row = r.newRow(len(items))
+		for i, it := range items {
+			v, err := st.eval(it)
+			if err != nil {
+				return err
+			}
+			row[i] = v
+		}
+	}
+	if b.distinct {
+		k := encodeKey(row)
+		if r.seen[k] {
+			return nil
+		}
+		if r.seen == nil {
+			r.seen = map[string]bool{}
+		}
+		r.seen[k] = true
+	}
+	if b.orderBy >= 0 {
+		keys, err := st.orderKeys(b)
+		if err != nil {
+			return err
+		}
+		r.keys = append(r.keys, keys)
+	}
+	r.out = append(r.out, row)
+	if b.simple && r.need > 0 && len(r.out) >= r.need {
+		return errEnough
+	}
+	return nil
+}
+
+func (st *execState) orderKeys(b *block) ([]Value, error) {
+	orderBy := st.plan.list(b.orderBy) // (node, descending) pairs
+	keys := make([]Value, len(orderBy)/2)
+	for i := range keys {
+		v, err := st.eval(orderBy[2*i])
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = v
+	}
+	return keys, nil
+}
+
+// emitGroups is the second phase of a grouped block: HAVING, projection
+// and ORDER BY keys are evaluated once per group, aggregates ranging
+// over the group's member rows and everything else reading a
+// representative row (the first member).
+func (st *execState) emitGroups(b *block, r *blockRun) error {
+	// An aggregate query with no GROUP BY aggregates over everything,
+	// producing one row even for empty input.
+	if b.groupBy < 0 && len(r.groups) == 0 {
+		r.groups = append(r.groups, &aggGroup{base: int(b.base)})
+	}
+	items := st.plan.list(b.items)
+	for _, g := range r.groups {
+		if len(g.snaps) > 0 {
+			copy(st.frame[b.base:], g.snaps[0])
+		} else {
+			for i, src := range st.plan.sourcesOf(b) {
+				st.frame[int(b.base)+i] = make([]Value, len(src.cols))
+			}
+		}
+		st.agg = g
+		if b.having >= 0 {
+			v, err := st.eval(b.having)
+			if err != nil {
+				return err
+			}
+			if !truthy(v) {
+				continue
+			}
+		}
+		row := r.newRow(len(items))
+		for i, it := range items {
+			v, err := st.eval(it)
+			if err != nil {
+				return err
+			}
+			row[i] = v
+		}
+		if b.orderBy >= 0 {
+			keys, err := st.orderKeys(b)
+			if err != nil {
+				return err
+			}
+			r.keys = append(r.keys, keys)
+		}
+		r.out = append(r.out, row)
+	}
+	st.agg = nil
+	return nil
 }
 
 // compareForOrder orders values with NULLs first.
@@ -1127,132 +1172,41 @@ func compareForOrder(a, b Value) int {
 	return Compare(a, b)
 }
 
-// indexCandidates attempts to satisfy the binding of src via a hash-index
-// probe driven by equality conjuncts whose other side is already evaluable
-// (constants, parameters, earlier bindings in this scope, or outer scopes).
-// It returns (rowIDs, true) on success.
-func (db *DB) indexCandidates(src *fromSource, conjuncts []Expr, boundBefore []*fromSource, outer *env, ctx *evalCtx) ([]int, bool) {
-	if db.opts.DisableIndexes || src.table == nil {
-		return nil, false
+// viewSnapshot serves "(SELECT * FROM t)" from the materialized-view
+// cache, refreshing it when the table has changed. The caller must hold
+// db.mu (shared or exclusive) or the database must be frozen; the table
+// therefore cannot mutate while the snapshot is built. The hit path is
+// one atomic load and a map lookup — no lock — so the XTABLE engine's
+// per-rule view probes never serialize readers. Concurrent readers that
+// find the cache stale serialize on viewMu: the first materializes and
+// publishes a copied map, the rest reuse.
+func (db *DB) viewSnapshot(t *Table) *viewSnapshot {
+	if snap := (*db.viewCache.Load())[t.key]; snap != nil && snap.version == t.version {
+		obsViewHits.Inc()
+		return snap
 	}
-	avail := equalityConjuncts(src, conjuncts, boundBefore, outer)
-	if len(avail) == 0 {
-		return nil, false
-	}
-	ords := make([]int, 0, len(avail))
-	for o := range avail {
-		ords = append(ords, o)
-	}
-	sort.Ints(ords)
-	ix := bestIndex(src.table, ords)
-	if ix == nil {
-		return nil, false
-	}
-	vals := make([]Value, len(ix.columns))
-	for i, col := range ix.columns {
-		v, err := ctx.eval(avail[col])
-		if err != nil {
-			return nil, false // fall back to scan; the error resurfaces there
+	db.viewMu.Lock()
+	defer db.viewMu.Unlock()
+	cur := *db.viewCache.Load()
+	snap := cur[t.key]
+	if snap == nil || snap.version != t.version {
+		obsViewMisses.Inc()
+		rows := make([][]Value, 0, t.live)
+		t.scan(func(_ int, row []Value) bool {
+			rows = append(rows, row)
+			return true
+		})
+		snap = newViewSnapshot(t.version, rows)
+		next := make(map[string]*viewSnapshot, len(cur)+1)
+		for k, v := range cur {
+			next[k] = v
 		}
-		if v.IsNull() {
-			return []int{}, true // equality with NULL matches nothing
-		}
-		vals[i] = v
+		next[t.key] = snap
+		db.viewCache.Store(&next)
+	} else {
+		obsViewHits.Inc()
 	}
-	ctx.st.idxLookups++
-	return src.table.lookup(ix, vals), true
-}
-
-// equalityConjuncts collects "src.col = <expr>" conjuncts whose right side
-// is already evaluable (constants, parameters, earlier bindings, outer
-// scopes), keyed by column ordinal.
-func equalityConjuncts(src *fromSource, conjuncts []Expr, boundBefore []*fromSource, outer *env) map[int]Expr {
-	avail := map[int]Expr{}
-	for _, c := range conjuncts {
-		be, ok := c.(*BinaryExpr)
-		if !ok || be.Op != "=" {
-			continue
-		}
-		for _, try := range [][2]Expr{{be.Left, be.Right}, {be.Right, be.Left}} {
-			cr, ok := try[0].(*ColumnRef)
-			if !ok || cr.Table == "" {
-				continue
-			}
-			if strings.ToLower(cr.Table) != src.binding.name {
-				continue
-			}
-			ord := src.binding.colIndex(cr.Column)
-			if ord < 0 {
-				continue
-			}
-			if !evaluableNow(try[1], boundBefore, outer) {
-				continue
-			}
-			if _, dup := avail[ord]; !dup {
-				avail[ord] = try[1]
-			}
-			break
-		}
-	}
-	return avail
-}
-
-// derivedCandidates probes (building on demand) a hash index over a
-// materialized derived table, turning equality joins against views into
-// hash joins. Indexes over statement-cached materializations are memoized
-// in the execState so each is built once per statement.
-func (db *DB) derivedCandidates(src *fromSource, conjuncts []Expr, boundBefore []*fromSource, outer *env, ctx *evalCtx, st *execState) ([]int, bool) {
-	if db.opts.DisableIndexes || src.table != nil || len(src.rows) < 8 {
-		return nil, false
-	}
-	avail := equalityConjuncts(src, conjuncts, boundBefore, outer)
-	if len(avail) == 0 {
-		return nil, false
-	}
-	ords := make([]int, 0, len(avail))
-	for o := range avail {
-		ords = append(ords, o)
-	}
-	sort.Ints(ords)
-	colsetKey := fmt.Sprint(ords)
-
-	var buckets map[string][]int
-	switch {
-	case src.view != nil:
-		// Shared across statements; the snapshot builds it under its own
-		// lock so concurrent SELECTs can race the build safely.
-		buckets = src.view.index(colsetKey, ords)
-	case src.derivedStmt != nil:
-		if st.derivedIdx == nil {
-			st.derivedIdx = map[*SelectStmt]map[string]map[string][]int{}
-		}
-		byCols := st.derivedIdx[src.derivedStmt]
-		if byCols == nil {
-			byCols = map[string]map[string][]int{}
-			st.derivedIdx[src.derivedStmt] = byCols
-		}
-		buckets = byCols[colsetKey]
-		if buckets == nil {
-			buckets = buildDerivedIndex(src.rows, ords)
-			byCols[colsetKey] = buckets
-		}
-	default:
-		buckets = buildDerivedIndex(src.rows, ords)
-	}
-
-	vals := make([]Value, len(ords))
-	for i, ord := range ords {
-		v, err := ctx.eval(avail[ord])
-		if err != nil {
-			return nil, false // fall back to scan; the error resurfaces there
-		}
-		if v.IsNull() {
-			return []int{}, true
-		}
-		vals[i] = v
-	}
-	st.idxLookups++
-	return buckets[encodeKey(vals)], true
+	return snap
 }
 
 func buildDerivedIndex(rows [][]Value, ords []int) map[string][]int {
@@ -1267,259 +1221,4 @@ func buildDerivedIndex(rows [][]Value, ords []int) map[string][]int {
 		buckets[k] = append(buckets[k], id)
 	}
 	return buckets
-}
-
-// bestIndex returns the index of t covering the largest subset of the
-// available equality columns, or nil; among equally large ones, the first
-// by name. It runs once per probe of a correlated subquery, so it walks
-// the table's precomputed index order and allocates nothing.
-func bestIndex(t *Table, available []int) *index {
-	var best *index
-	for _, ix := range t.byName {
-		if best != nil && len(ix.columns) <= len(best.columns) {
-			continue
-		}
-		covered := true
-		for _, c := range ix.columns {
-			if !slices.Contains(available, c) {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			best = ix
-		}
-	}
-	return best
-}
-
-// evaluableNow reports whether e references only bindings that are already
-// bound: earlier FROM items in this scope or anything in outer scopes.
-// Unqualified column references and subqueries are conservatively rejected.
-func evaluableNow(e Expr, boundBefore []*fromSource, outer *env) bool {
-	boundNames := map[string]bool{}
-	for _, s := range boundBefore {
-		boundNames[s.binding.name] = true
-	}
-	for sc := outer; sc != nil; sc = sc.parent {
-		for _, b := range sc.bindings {
-			boundNames[b.name] = true
-		}
-	}
-	ok := true
-	var walk func(Expr)
-	walk = func(e Expr) {
-		if !ok || e == nil {
-			return
-		}
-		switch x := e.(type) {
-		case *Literal, *Param:
-		case *ColumnRef:
-			if x.Table == "" || !boundNames[strings.ToLower(x.Table)] {
-				ok = false
-			}
-		case *BinaryExpr:
-			walk(x.Left)
-			walk(x.Right)
-		case *UnaryExpr:
-			walk(x.Operand)
-		case *IsNullExpr:
-			walk(x.Operand)
-		case *FuncExpr:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *CaseExpr:
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
-			walk(x.Else)
-		default:
-			// Subqueries and anything else: not evaluable for index probing.
-			ok = false
-		}
-	}
-	walk(e)
-	return ok
-}
-
-// splitAnd flattens a conjunction into its conjuncts.
-func splitAnd(e Expr) []Expr {
-	if e == nil {
-		return nil
-	}
-	if be, ok := e.(*BinaryExpr); ok && be.Op == "AND" {
-		return append(splitAnd(be.Left), splitAnd(be.Right)...)
-	}
-	return []Expr{e}
-}
-
-// aggCtx evaluates expressions in a grouped context: aggregate function
-// calls are computed over the group's snapshots, everything else is
-// evaluated against the representative row.
-type aggCtx struct {
-	ctx       *evalCtx
-	sources   []*fromSource
-	snapshots [][][]Value
-}
-
-func (a *aggCtx) eval(e Expr) (Value, error) {
-	switch x := e.(type) {
-	case *FuncExpr:
-		if aggregateFuncs[x.Name] {
-			return a.evalAggregate(x)
-		}
-	case *BinaryExpr:
-		if hasAggregate(x) {
-			l, err := a.eval(x.Left)
-			if err != nil {
-				return Null, err
-			}
-			r, err := a.eval(x.Right)
-			if err != nil {
-				return Null, err
-			}
-			return a.ctx.evalBinary(&BinaryExpr{Op: x.Op, Left: &Literal{Value: l}, Right: &Literal{Value: r}})
-		}
-	case *UnaryExpr:
-		if hasAggregate(x) {
-			v, err := a.eval(x.Operand)
-			if err != nil {
-				return Null, err
-			}
-			return a.ctx.eval(&UnaryExpr{Op: x.Op, Operand: &Literal{Value: v}})
-		}
-	case *IsNullExpr:
-		if hasAggregate(x) {
-			v, err := a.eval(x.Operand)
-			if err != nil {
-				return Null, err
-			}
-			return a.ctx.eval(&IsNullExpr{Operand: &Literal{Value: v}, Negated: x.Negated})
-		}
-	case *InExpr:
-		if hasAggregate(x.Operand) {
-			v, err := a.eval(x.Operand)
-			if err != nil {
-				return Null, err
-			}
-			return a.ctx.eval(&InExpr{Operand: &Literal{Value: v}, List: x.List, Subquery: x.Subquery, Negated: x.Negated})
-		}
-	case *CaseExpr:
-		if hasAggregate(x) {
-			for _, w := range x.Whens {
-				cond, err := a.eval(w.Cond)
-				if err != nil {
-					return Null, err
-				}
-				if b, known := cond.AsBool(); known && b {
-					return a.eval(w.Then)
-				}
-			}
-			if x.Else != nil {
-				return a.eval(x.Else)
-			}
-			return Null, nil
-		}
-	}
-	return a.ctx.eval(e)
-}
-
-func (a *aggCtx) evalAggregate(x *FuncExpr) (Value, error) {
-	restore := make([][]Value, len(a.sources))
-	for i, s := range a.sources {
-		restore[i] = s.binding.row
-	}
-	defer func() {
-		for i, s := range a.sources {
-			s.binding.row = restore[i]
-		}
-	}()
-
-	var count int64
-	var sum float64
-	allInt := true
-	var minV, maxV Value
-	haveVal := false
-	var distinctSeen map[string]bool
-	if x.Distinct {
-		distinctSeen = map[string]bool{}
-	}
-
-	for _, snap := range a.snapshots {
-		for i, s := range a.sources {
-			s.binding.row = snap[i]
-		}
-		if x.Star {
-			count++
-			continue
-		}
-		if len(x.Args) != 1 {
-			return Null, fmt.Errorf("sql: %s expects one argument", x.Name)
-		}
-		v, err := a.ctx.eval(x.Args[0])
-		if err != nil {
-			return Null, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if x.Distinct {
-			k := encodeKey([]Value{v})
-			if distinctSeen[k] {
-				continue
-			}
-			distinctSeen[k] = true
-		}
-		count++
-		if f, ok := v.AsFloat(); ok {
-			sum += f
-			if v.Kind() != KindInt {
-				allInt = false
-			}
-		} else if x.Name == "SUM" || x.Name == "AVG" {
-			return Null, fmt.Errorf("sql: %s of non-numeric value", x.Name)
-		}
-		if !haveVal {
-			minV, maxV = v, v
-			haveVal = true
-		} else {
-			if Compare(v, minV) < 0 {
-				minV = v
-			}
-			if Compare(v, maxV) > 0 {
-				maxV = v
-			}
-		}
-	}
-
-	switch x.Name {
-	case "COUNT":
-		return Int(count), nil
-	case "SUM":
-		if count == 0 {
-			return Null, nil
-		}
-		if allInt {
-			return Int(int64(sum)), nil
-		}
-		return Float(sum), nil
-	case "AVG":
-		if count == 0 {
-			return Null, nil
-		}
-		return Float(sum / float64(count)), nil
-	case "MIN":
-		if !haveVal {
-			return Null, nil
-		}
-		return minV, nil
-	case "MAX":
-		if !haveVal {
-			return Null, nil
-		}
-		return maxV, nil
-	}
-	return Null, fmt.Errorf("sql: unknown aggregate %s", x.Name)
 }

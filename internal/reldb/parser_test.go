@@ -197,9 +197,9 @@ func TestParseParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conj := splitAnd(stmt.(*SelectStmt).Where)
-	p0 := conj[0].(*BinaryExpr).Right.(*Param)
-	p1 := conj[1].(*BinaryExpr).Right.(*Param)
+	and := stmt.(*SelectStmt).Where.(*BinaryExpr)
+	p0 := and.Left.(*BinaryExpr).Right.(*Param)
+	p1 := and.Right.(*BinaryExpr).Right.(*Param)
 	if p0.Index != 0 || p1.Index != 1 {
 		t.Errorf("param indexes: %d %d", p0.Index, p1.Index)
 	}

@@ -21,6 +21,7 @@ type TableSchema struct {
 	PrimaryKey []string // column names; empty means no primary key
 
 	byName map[string]int // lowercase column name -> ordinal
+	lower  []string       // lowercase column names, in ordinal order
 }
 
 // NewTableSchema builds a schema and validates it: column names must be
@@ -33,9 +34,10 @@ func NewTableSchema(name string, cols []Column, primaryKey []string) (*TableSche
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("reldb: table %s: at least one column required", name)
 	}
-	s := &TableSchema{Name: name, Columns: cols, PrimaryKey: primaryKey, byName: map[string]int{}}
+	s := &TableSchema{Name: name, Columns: cols, PrimaryKey: primaryKey, byName: map[string]int{}, lower: make([]string, len(cols))}
 	for i, c := range cols {
 		key := strings.ToLower(c.Name)
+		s.lower[i] = key
 		if _, dup := s.byName[key]; dup {
 			return nil, fmt.Errorf("reldb: table %s: duplicate column %s", name, c.Name)
 		}

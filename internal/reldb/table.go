@@ -28,7 +28,10 @@ func (ix *index) keyForRow(row []Value) string {
 // Table is a heap of rows plus any number of hash indexes. Deleted rows are
 // tombstoned (nil) and skipped during scans; row ids are stable.
 type Table struct {
-	schema  *TableSchema
+	schema *TableSchema
+	// key is the lowercase table name: the table's key in DB.tables and
+	// in the view cache.
+	key     string
 	rows    [][]Value
 	live    int
 	indexes map[string]*index // by lowercase index name
@@ -53,7 +56,7 @@ type indexKey struct {
 }
 
 func newTable(schema *TableSchema) *Table {
-	t := &Table{schema: schema, indexes: map[string]*index{}}
+	t := &Table{schema: schema, key: strings.ToLower(schema.Name), indexes: map[string]*index{}}
 	if len(schema.PrimaryKey) > 0 {
 		ords, err := schema.ordinals(schema.PrimaryKey)
 		if err != nil {
