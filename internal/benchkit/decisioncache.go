@@ -60,8 +60,8 @@ func (c DecisionCacheConfig) withDefaults() DecisionCacheConfig {
 
 // DecisionCacheRow is one universe-size point of the experiment.
 type DecisionCacheRow struct {
-	DistinctPrefs int     `json:"distinctPrefs"`
-	Matches       int     `json:"matches"`
+	DistinctPrefs int `json:"distinctPrefs"`
+	Matches       int `json:"matches"`
 	// HitRate counts from a cold cache, so it includes the compulsory
 	// miss per distinct preference: the steady-state rate is higher.
 	HitRate       float64 `json:"hitRate"`

@@ -69,9 +69,9 @@ type DurabilityResults struct {
 	GOMAXPROCS int   `json:"gomaxprocs"`
 	// Writers is the concurrent admin writers per phase (the group-commit
 	// coalescing population).
-	Writers int               `json:"writers"`
-	Phases  []DurabilityPhase `json:"phases"`
-	Recovery   []RecoveryPoint   `json:"recovery"`
+	Writers  int               `json:"writers"`
+	Phases   []DurabilityPhase `json:"phases"`
+	Recovery []RecoveryPoint   `json:"recovery"`
 	// P99RatioInterval is fsync=interval mutation p99 over the in-memory
 	// p99 — the acceptance-criterion number.
 	P99RatioInterval float64 `json:"p99RatioInterval"`

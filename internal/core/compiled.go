@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"p3pdb/internal/appel"
 	"p3pdb/internal/reldb"
+	"p3pdb/internal/resource"
 	"p3pdb/internal/sqlgen"
 )
 
@@ -17,17 +19,12 @@ import (
 // returning users then skip both APPEL parsing and SQL translation on
 // every visit.
 type CompiledPreference struct {
-	rules []compiledRule
+	// conv is a conversion entry of its own, outside the site's cache,
+	// with the SQL translation filled in.
+	conv *prefConv
 	// Compile is the one-time cost that per-match conversion would
 	// otherwise pay on every visit.
 	Compile time.Duration
-}
-
-type compiledRule struct {
-	stmt            *reldb.SelectStmt
-	behavior        string
-	prompt          bool
-	ruleDescription string
 }
 
 // compileRules translates rs against the optimized schema with the
@@ -36,24 +33,19 @@ type compiledRule struct {
 // text is written or parsed. They are admitted under the same statement-
 // complexity limits a database opened with dbOpts applies to text it
 // prepares.
-func compileRules(rs *appel.Ruleset, dbOpts reldb.Options) ([]compiledRule, error) {
+func compileRules(rs *appel.Ruleset, dbOpts reldb.Options) ([]reldb.Statement, error) {
 	queries, err := sqlgen.BuildRulesetOptimized(rs, sqlgen.ParamPolicySubquery())
 	if err != nil {
 		return nil, err
 	}
-	rules := make([]compiledRule, 0, len(queries))
+	stmts := make([]reldb.Statement, 0, len(queries))
 	for i, q := range queries {
 		if err := dbOpts.CheckComplexity(q.Stmt); err != nil {
 			return nil, fmt.Errorf("core: preparing rule %d: %w", i+1, err)
 		}
-		rules = append(rules, compiledRule{
-			stmt:            q.Stmt,
-			behavior:        q.Behavior,
-			prompt:          q.Prompt,
-			ruleDescription: rs.Rules[i].Description,
-		})
+		stmts = append(stmts, q.Stmt)
 	}
-	return rules, nil
+	return stmts, nil
 }
 
 // CompilePreference translates a preference against the optimized
@@ -65,46 +57,37 @@ func (s *Site) CompilePreference(prefXML string) (*CompiledPreference, error) {
 	if err != nil {
 		return nil, err
 	}
-	rules, err := compileRules(rs, s.opts.DB)
-	if err != nil {
+	c := &prefConv{xml: prefXML, rs: rs}
+	if _, err := s.sqlConversion(c); err != nil {
 		return nil, err
 	}
-	return &CompiledPreference{rules: rules, Compile: time.Since(start)}, nil
+	return &CompiledPreference{conv: c, Compile: time.Since(start)}, nil
 }
 
 // MatchCompiled evaluates a compiled preference against a named policy.
-// Only query execution remains on the per-visit path. Compiled matches
-// run lock-free against the current snapshot, concurrently with each
-// other, with every other match, and with policy writes: the
-// statements and the plans reldb binds for them depend on the schema,
-// not on a database, so a compilation outlives its snapshot.
+// Only query execution remains on the per-visit path, under the site's
+// match budget. Compiled matches run lock-free against the current
+// snapshot, concurrently with each other, with every other match, and
+// with policy writes: the statements and the plans reldb binds for them
+// depend on the schema, not on a database, so a compilation outlives its
+// snapshot.
 func (s *Site) MatchCompiled(c *CompiledPreference, policyName string) (Decision, error) {
 	st := s.state.Load()
-	id, ok := st.ids[policyName]
-	if !ok {
+	if _, ok := st.ids[policyName]; !ok {
 		return Decision{}, fmt.Errorf("core: policy %q not installed", policyName)
 	}
-	start := time.Now()
-	for i, rule := range c.rules {
-		fired, err := st.optDB.QueryExistsStmt(rule.stmt, reldb.Int(int64(id)))
-		if err != nil {
-			return Decision{}, fmt.Errorf("core: rule %d: %w", i+1, err)
-		}
-		if fired {
-			d := Decision{
-				Behavior:        rule.behavior,
-				RuleIndex:       i,
-				RuleDescription: rule.ruleDescription,
-				Prompt:          rule.prompt,
-				PolicyName:      policyName,
-				Engine:          EngineSQL,
-				Query:           time.Since(start),
-			}
-			s.recordConflict(d)
-			return d, nil
-		}
+	ctx := context.TODO() // MatchCompiled takes no context
+	d, err := s.evaluate(ctx, st, c.conv, policyName, EngineSQL, nil, resource.NewMeter(ctx, s.matchBudget))
+	if err != nil {
+		return Decision{}, err
 	}
-	return Decision{}, fmt.Errorf("core: %w", errNoRuleFired)
+	// Reading the pre-filled translation is this visit's only conversion
+	// work; it is query-side time, and Convert stays zero.
+	d.Query, d.Convert = d.Query+d.Convert, 0
+	d.PolicyName = policyName
+	d.Engine = EngineSQL
+	s.recordConflict(d)
+	return d, nil
 }
 
 // MatchCompiledURI resolves the URI through the reference file and
@@ -116,5 +99,3 @@ func (s *Site) MatchCompiledURI(c *CompiledPreference, uri string) (Decision, er
 	}
 	return s.MatchCompiled(c, name)
 }
-
-var errNoRuleFired = fmt.Errorf("no rule fired; ruleset lacks a catch-all")

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"p3pdb/internal/appel"
+	"p3pdb/internal/resource"
 	"p3pdb/internal/workload"
 )
 
@@ -97,6 +99,32 @@ func TestCompiledErrors(t *testing.T) {
 	}
 	if _, err := s.MatchCompiled(c2, "volga"); err == nil {
 		t.Error("no-rule-fired should error")
+	}
+}
+
+// TestCompiledHonorsMatchBudget: a compiled preference runs under the
+// site's match budget exactly as a match on the SQL engine does — a
+// budget too small for the preference aborts both, rather than letting
+// the compiled path evaluate unmetered.
+func TestCompiledHonorsMatchBudget(t *testing.T) {
+	s, err := NewSiteWithOptions(Options{MatchBudget: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := workload.Generate(42).Policies[0]
+	if err := s.InstallPolicy(pol); err != nil {
+		t.Fatal(err)
+	}
+	pref, _ := workload.PreferenceByLevel("High")
+	if _, err := s.MatchPolicy(pref.XML, pol.Name, EngineSQL); !errors.Is(err, resource.ErrBudgetExceeded) {
+		t.Fatalf("SQL engine under budget 3: want ErrBudgetExceeded, got %v", err)
+	}
+	c, err := s.CompilePreference(pref.XML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := s.MatchCompiled(c, pol.Name); !errors.Is(err, resource.ErrBudgetExceeded) {
+		t.Fatalf("compiled match under budget 3: want ErrBudgetExceeded, got %+v, %v", d, err)
 	}
 }
 

@@ -224,10 +224,15 @@ func (s *Site) ConversionCacheStats() (hits, misses int64, size int) {
 // one, and the last store wins. The native engine and the fast path use
 // the ruleset as it is — the baseline's defining cost, parsing and
 // augmenting the *policy* per match, is deliberately not cached.
+// Translations hold one executable per rule, index-aligned with rs.Rules;
+// behavior, prompt and description are read from the rules themselves.
 type prefConv struct {
+	// xml is the preference text the entry is keyed by; XTABLE's
+	// per-policy entries extend that key.
+	xml    string
 	rs     *appel.Ruleset
-	sql    atomic.Pointer[[]compiledRule]
-	xquery atomic.Pointer[[]xqueryRule]
+	sql    atomic.Pointer[[]reldb.Statement]
+	xquery atomic.Pointer[[]*xquery.Query]
 }
 
 // xtableConv caches the XQuery→SQL view-reconstruction translation. The
@@ -236,19 +241,8 @@ type prefConv struct {
 // matches the snapshot's (the policy was re-installed under a new id) is
 // rebuilt instead of served.
 type xtableConv struct {
-	rules []xtableRule
+	stmts []reldb.Statement
 	genID int
-}
-
-type xtableRule struct {
-	stmt     reldb.Statement
-	behavior string
-	prompt   bool
-}
-
-type xqueryRule struct {
-	query  *xquery.Query
-	prompt bool
 }
 
 // conversion returns the cache entry of a preference text, parsing the
@@ -267,81 +261,69 @@ func (s *Site) conversion(prefXML string) (*prefConv, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &prefConv{rs: rs}
+	c := &prefConv{xml: prefXML, rs: rs}
 	s.conv.put(k, c)
 	return c, nil
 }
 
 // sqlConversion returns a preference's translation against the optimized
-// schema, through the cache: statements built directly as reldb binds and
-// executes them, with the policy id as a parameter. reldb binds a plan to
-// the schema's catalog, not to a database, so statement and plan serve
-// every policy and stay valid across snapshot swaps.
-func (s *Site) sqlConversion(prefXML string) ([]compiledRule, error) {
-	c, err := s.conversion(prefXML)
-	if err != nil {
-		return nil, err
-	}
+// schema: statements built directly as reldb binds and executes them,
+// with the policy id as a parameter. reldb binds a plan to the schema's
+// catalog, not to a database, so statement and plan serve every policy
+// and stay valid across snapshot swaps.
+func (s *Site) sqlConversion(c *prefConv) ([]reldb.Statement, error) {
 	if p := c.sql.Load(); p != nil {
 		return *p, nil
 	}
-	rules, err := compileRules(c.rs, s.opts.DB)
+	stmts, err := compileRules(c.rs, s.opts.DB)
 	if err != nil {
 		return nil, err
 	}
-	c.sql.Store(&rules)
-	return rules, nil
+	c.sql.Store(&stmts)
+	return stmts, nil
 }
 
 // xqueryConversion returns a preference's APPEL→XQuery translation as
-// parsed queries, through the cache; the policy is bound at evaluation
-// time through the document resolver.
-func (s *Site) xqueryConversion(prefXML string) (*prefConv, []xqueryRule, error) {
-	c, err := s.conversion(prefXML)
-	if err != nil {
-		return nil, nil, err
-	}
+// parsed queries; the policy is bound at evaluation time through the
+// document resolver.
+func (s *Site) xqueryConversion(c *prefConv) ([]*xquery.Query, error) {
 	if p := c.xquery.Load(); p != nil {
-		return c, *p, nil
+		return *p, nil
 	}
 	xqs, err := xqgen.TranslateRuleset(c.rs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rules := make([]xqueryRule, 0, len(xqs))
+	queries := make([]*xquery.Query, 0, len(xqs))
 	for _, xq := range xqs {
 		parsed, err := xquery.Parse(xq.XQuery)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		rules = append(rules, xqueryRule{query: parsed, prompt: xq.Prompt})
+		queries = append(queries, parsed)
 	}
-	c.xquery.Store(&rules)
-	return c, rules, nil
+	c.xquery.Store(&queries)
+	return queries, nil
 }
 
 // xtableConversion translates a preference to SQL over the generic schema
 // through the XML-view layer for one policy, through the cache. A cached
 // entry is only served when its embedded policy id still matches the
 // snapshot's — re-installation under a new id invalidates it in place.
-func (s *Site) xtableConversion(st *siteState, prefXML, policyName string) (*prefConv, []xtableRule, error) {
-	c, err := s.conversion(prefXML)
-	if err != nil {
-		return nil, nil, err
-	}
-	k := convKey{pref: prefXML, policy: policyName}
+func (s *Site) xtableConversion(st *siteState, c *prefConv, policyName string) ([]reldb.Statement, error) {
+	k := convKey{pref: c.xml, policy: policyName}
 	policyID := st.ids[policyName]
 	if v, ok := s.conv.peek(k); ok {
 		if e := v.(*xtableConv); e.genID == policyID {
-			return c, e.rules, nil
+			return e.stmts, nil
 		}
 	}
 	if err := faultkit.Inject(faultkit.PointConvFill); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	xqs, err := xqgen.TranslateRuleset(c.rs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// The whole preference is prepared before any rule runs; a rule
 	// whose view-reconstructed SQL exceeds the engine's complexity
@@ -351,14 +333,14 @@ func (s *Site) xtableConversion(st *siteState, prefXML, policyName string) (*pre
 	for i, xq := range xqs {
 		q, err := xtable.TranslateXQuery(xq.XQuery, sqlgen.FixedPolicySubquery(policyID), xtable.Options{})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		stmt, err := st.genDB.Prepare(q.SQL)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: preparing rule %d: %w", i+1, err)
+			return nil, fmt.Errorf("core: preparing rule %d: %w", i+1, err)
 		}
-		e.rules = append(e.rules, xtableRule{stmt: stmt, behavior: q.Behavior, prompt: xq.Prompt})
+		e.stmts = append(e.stmts, stmt)
 	}
 	s.conv.put(k, e)
-	return c, e.rules, nil
+	return e.stmts, nil
 }

@@ -39,7 +39,6 @@ import (
 	"p3pdb/internal/reffile"
 	"p3pdb/internal/reldb"
 	"p3pdb/internal/resource"
-	"p3pdb/internal/sqlgen"
 	"p3pdb/internal/xquery"
 )
 
@@ -337,7 +336,7 @@ func (s *Site) ReplacePolicies(pols []*p3p.Policy, rf *reffile.RefFile) error {
 // InstallReferenceFile installs the site's reference file, resolving every
 // POLICY-REF against the installed policies.
 func (s *Site) InstallReferenceFile(rf *reffile.RefFile) error {
-	return s.mutate(func(d *stateDraft) error { return d.setRefFile(rf) })
+	return s.ApplyBatch([]Mutation{InstallReferenceFileMutation(rf)})
 }
 
 // InstallReferenceFileXML parses and installs a reference file document.
@@ -627,12 +626,17 @@ func (s *Site) decisionStore(st *siteState, prefXML, policyName string, engine E
 	}
 	s.decisions.Put(decision.Key{
 		Gen: st.gen, Engine: uint8(engine), Policy: policyName, Pref: prefXML,
-	}, decision.Outcome{
+	}, d.outcome())
+}
+
+// outcome is the part of a decision the decision cache keeps.
+func (d Decision) outcome() decision.Outcome {
+	return decision.Outcome{
 		Behavior:        d.Behavior,
 		RuleIndex:       d.RuleIndex,
 		RuleDescription: d.RuleDescription,
 		Prompt:          d.Prompt,
-	})
+	}
 }
 
 // DecisionCacheStats reports the Site's decision-cache hit/miss/store
@@ -688,6 +692,9 @@ func (s *Site) match(ctx context.Context, st *siteState, prefXML, policyName str
 	if d, ok := s.decisionLookup(ctx, st, prefXML, policyName, engine); ok {
 		return d, nil
 	}
+	if uint(engine) >= uint(len(matchObs)) {
+		return Decision{}, fmt.Errorf("core: unknown engine %d", engine)
+	}
 	// One meter spans all of this match's rule evaluations, whatever the
 	// engine, so the budget bounds the whole preference rather than one
 	// statement. Nil (free) when there is neither a budget nor a
@@ -695,18 +702,18 @@ func (s *Site) match(ctx context.Context, st *siteState, prefXML, policyName str
 	m := resource.NewMeter(ctx, s.matchBudget)
 	start := time.Now()
 	var d Decision
-	var err error
-	switch engine {
-	case EngineNative:
-		d, err = s.matchNative(st, prefXML, policyName, m)
-	case EngineSQL:
-		d, err = s.matchSQL(ctx, st, prefXML, policyName, m)
-	case EngineXTable:
-		d, err = s.matchXTable(ctx, st, prefXML, policyName, m)
-	case EngineXQuery:
-		d, err = s.matchXQueryNative(st, prefXML, policyName, m)
-	default:
-		return Decision{}, fmt.Errorf("core: unknown engine %d", engine)
+	conv, err := s.conversion(prefXML)
+	if err == nil {
+		parse := time.Since(start)
+		d, err = s.evaluate(ctx, st, conv, policyName, engine, nil, m)
+		// Parsing the preference is the first step of its translation;
+		// the native engine interprets APPEL directly and charges it to
+		// Query instead.
+		if engine == EngineNative {
+			d.Query += parse
+		} else {
+			d.Convert += parse
+		}
 	}
 	io := &matchObs[engine]
 	io.total.Inc()
@@ -731,140 +738,119 @@ func (s *Site) match(ctx context.Context, st *siteState, prefXML, policyName str
 	return d, nil
 }
 
-// matchNative runs the client-centric baseline: the preference is
-// interpreted directly and the policy is fetched as text, parsed, and
-// augmented per match. Only the preference parse goes through the
-// conversion cache; the per-match policy processing — the baseline's
-// defining cost — is kept faithful to the paper.
-func (s *Site) matchNative(st *siteState, prefXML, policyName string, m *resource.Meter) (Decision, error) {
+// evaluate decides one preference against one policy of st: the paper's
+// first-match loop (§5, Figures 15/17) shared by organic matches,
+// pre-warm and compiled preferences. The engine's translation is read
+// from conv (and built into it on first use); the rules are then tried
+// in order, and the first that fires gives the decision. The engines
+// differ only in how one rule is tested — an SQL EXISTS over the
+// optimized schema with the policy id as parameter, a view-reconstructed
+// EXISTS over the generic schema, or an XQuery run against the native
+// store — so the decision fields come from the ruleset itself for every
+// engine.
+//
+// A non-nil mask switches rules off (pre-warm passes the rules the
+// preference index proved cannot fire). The native engine interprets the
+// whole (masked) ruleset in one call, parsing and augmenting the policy
+// per match — the baseline's defining cost, kept faithful to the paper —
+// and its rule index is remapped onto the full ruleset.
+//
+// Decision.Convert covers fetching (or building) the translation and
+// Query the rule loop; the native engine translates nothing.
+func (s *Site) evaluate(ctx context.Context, st *siteState, conv *prefConv, policy string, engine Engine, mask []bool, m *resource.Meter) (Decision, error) {
+	rules := conv.rs.Rules
+	if len(mask) != len(rules) {
+		// Index and conversion parse the same document, so this cannot
+		// happen; if it did, evaluating every rule is still sound.
+		mask = nil
+	}
 	start := time.Now()
-	conv, err := s.conversion(prefXML)
-	if err != nil {
-		return Decision{}, err
+	if engine == EngineNative {
+		rs, remap := conv.rs, []int(nil)
+		if mask != nil {
+			rs = &appel.Ruleset{}
+			for i, on := range mask {
+				if on {
+					rs.Rules = append(rs.Rules, rules[i])
+					remap = append(remap, i)
+				}
+			}
+		}
+		dec, err := s.native.MatchMeter(rs, st.policyXML[policy], m)
+		if err != nil {
+			return Decision{}, err
+		}
+		i := dec.RuleIndex
+		if remap != nil {
+			i = remap[i]
+		}
+		return firedRule(rules[i], i, 0, time.Since(start)), nil
 	}
-	dec, err := s.native.MatchMeter(conv.rs, st.policyXML[policyName], m)
-	if err != nil {
-		return Decision{}, err
-	}
-	return Decision{
-		Behavior:        dec.Behavior,
-		RuleIndex:       dec.RuleIndex,
-		RuleDescription: ruleDescription(conv.rs, dec.RuleIndex),
-		Prompt:          dec.Prompt,
-		Query:           time.Since(start),
-	}, nil
-}
 
-// matchSQL runs the preference as SQL over the optimized schema. The
-// translation is fetched from the conversion cache (built once with the
-// policy id as a parameter, serving every policy); a cache hit reports
-// near-zero Convert, leaving only query execution on the per-visit path
-// — the §6.3.2 compiled-preferences deployment.
-func (s *Site) matchSQL(ctx context.Context, st *siteState, prefXML, policyName string, m *resource.Meter) (Decision, error) {
-	convertStart := time.Now()
-	rules, err := s.sqlConversion(prefXML)
+	var (
+		db      *reldb.DB
+		stmts   []reldb.Statement
+		params  []reldb.Value
+		ev      *xquery.Evaluator
+		queries []*xquery.Query
+		err     error
+	)
+	switch engine {
+	case EngineSQL:
+		db, params = st.optDB, []reldb.Value{reldb.Int(int64(st.ids[policy]))}
+		stmts, err = s.sqlConversion(conv)
+	case EngineXTable:
+		db = st.genDB
+		stmts, err = s.xtableConversion(st, conv, policy)
+	case EngineXQuery:
+		// The per-policy resolver was prebuilt at snapshot
+		// materialization, so binding the policy is a map lookup.
+		ev = xquery.NewEvaluator(st.resolvers[policy]).WithMeter(m)
+		queries, err = s.xqueryConversion(conv)
+	default:
+		return Decision{}, fmt.Errorf("core: unknown engine %d", engine)
+	}
 	if err != nil {
 		return Decision{}, err
 	}
-	convert := time.Since(convertStart)
+	convert := time.Since(start)
 
-	// The match meter rides the context into the relational engine, so
-	// one budget spans every rule statement.
+	// The meter rides the context into the relational engine, so one
+	// budget spans every rule statement.
 	ctx = resource.WithMeter(ctx, m)
-	id := []reldb.Value{reldb.Int(int64(st.ids[policyName]))}
 	queryStart := time.Now()
-	for i, rule := range rules {
-		fired, err := st.optDB.QueryExistsStmtCtx(ctx, rule.stmt, id...)
+	for i, r := range rules {
+		if mask != nil && !mask[i] {
+			continue
+		}
+		var fired bool
+		if ev != nil {
+			var out string
+			out, err = ev.Run(queries[i])
+			fired = out != ""
+		} else {
+			fired, err = db.QueryExistsStmtCtx(ctx, stmts[i], params...)
+		}
 		if err != nil {
 			return Decision{}, fmt.Errorf("core: rule %d: %w", i+1, err)
 		}
 		if fired {
-			return Decision{
-				Behavior:        rule.behavior,
-				RuleIndex:       i,
-				RuleDescription: rule.ruleDescription,
-				Prompt:          rule.prompt,
-				Convert:         convert,
-				Query:           time.Since(queryStart),
-			}, nil
-		}
-	}
-	return Decision{}, sqlgen.ErrNoRuleFired
-}
-
-// matchXTable runs the preference as XQuery translated to SQL over the
-// generic schema through the XML-view layer. The translation embeds the
-// policy id, so its cache entries are per (preference, policy) and
-// re-validated against the snapshot's id on every hit.
-func (s *Site) matchXTable(ctx context.Context, st *siteState, prefXML, policyName string, m *resource.Meter) (Decision, error) {
-	convertStart := time.Now()
-	conv, rules, err := s.xtableConversion(st, prefXML, policyName)
-	if err != nil {
-		return Decision{}, err
-	}
-	convert := time.Since(convertStart)
-
-	ctx = resource.WithMeter(ctx, m)
-	queryStart := time.Now()
-	for i, rule := range rules {
-		ok, err := st.genDB.QueryExistsStmtCtx(ctx, rule.stmt)
-		if err != nil {
-			return Decision{}, fmt.Errorf("core: rule %d: %w", i+1, err)
-		}
-		if ok {
-			return Decision{
-				Behavior:        rule.behavior,
-				RuleIndex:       i,
-				RuleDescription: ruleDescription(conv.rs, i),
-				Prompt:          rule.prompt,
-				Convert:         convert,
-				Query:           time.Since(queryStart),
-			}, nil
+			return firedRule(r, i, convert, time.Since(queryStart)), nil
 		}
 	}
 	return Decision{}, appelengine.ErrNoRuleFired
 }
 
-// matchXQueryNative evaluates the preference's XQuery translation against
-// the native XML store. Translation and query parsing go through the
-// conversion cache; the policy is bound per match via the resolver alias.
-func (s *Site) matchXQueryNative(st *siteState, prefXML, policyName string, m *resource.Meter) (Decision, error) {
-	convertStart := time.Now()
-	conv, rules, err := s.xqueryConversion(prefXML)
-	if err != nil {
-		return Decision{}, err
+// firedRule is the decision rule i of a ruleset gives when it fires.
+func firedRule(r *appel.Rule, i int, convert, query time.Duration) Decision {
+	return Decision{
+		Behavior:        r.Behavior,
+		RuleIndex:       i,
+		RuleDescription: r.Description,
+		Prompt:          r.Prompt,
+		Convert:         convert,
+		Query:           query,
 	}
-	convert := time.Since(convertStart)
-
-	queryStart := time.Now()
-	// The per-policy resolver was prebuilt at snapshot materialization,
-	// so binding the policy costs a map lookup instead of an alias map
-	// and closure allocation per match.
-	ev := xquery.NewEvaluator(st.resolvers[policyName]).WithMeter(m)
-	for i, rule := range rules {
-		out, err := ev.Run(rule.query)
-		if err != nil {
-			return Decision{}, err
-		}
-		if out != "" {
-			return Decision{
-				Behavior:        out,
-				RuleIndex:       i,
-				RuleDescription: ruleDescription(conv.rs, i),
-				Prompt:          rule.prompt,
-				Convert:         convert,
-				Query:           time.Since(queryStart),
-			}, nil
-		}
-	}
-	return Decision{}, appelengine.ErrNoRuleFired
-}
-
-func ruleDescription(rs *appel.Ruleset, idx int) string {
-	if idx < 0 || idx >= len(rs.Rules) {
-		return ""
-	}
-	return rs.Rules[idx].Description
 }
 
 // recordConflict feeds the site-owner analytics: block decisions are

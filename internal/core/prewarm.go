@@ -19,9 +19,9 @@ package core
 //
 //   - Index-selected evaluation: for registered preferences, the
 //     prefindex predicate index selects, per changed policy, the rules
-//     that could possibly fire, and only those are evaluated — through
-//     the same conversion cache and engine code paths an organic match
-//     uses, so a pre-warmed decision is byte-identical to the one the
+//     that could possibly fire, and only those are evaluated — by the
+//     same evaluate an organic match runs, with the other rules masked
+//     off, so a pre-warmed decision is byte-identical to the one the
 //     engine would compute after the swap. Pairs whose conversion or
 //     evaluation errors are skipped, never cached: the organic path
 //     would surface the same error, uncached, and keeping the cache free
@@ -36,15 +36,10 @@ import (
 	"context"
 	"fmt"
 
-	"p3pdb/internal/appel"
-	"p3pdb/internal/appelengine"
 	"p3pdb/internal/decision"
 	"p3pdb/internal/obs"
 	"p3pdb/internal/prefindex"
-	"p3pdb/internal/reldb"
 	"p3pdb/internal/resource"
-	"p3pdb/internal/sqlgen"
-	"p3pdb/internal/xquery"
 )
 
 var (
@@ -244,6 +239,7 @@ func (s *Site) prewarmPair(st *siteState, policy string, sel prefindex.Selection
 		t.NoRule++
 		return
 	}
+	ctx := context.Background()
 	for _, en := range sel.Pref.Engines {
 		eng, err := ParseEngine(en)
 		if err != nil {
@@ -253,7 +249,14 @@ func (s *Site) prewarmPair(st *siteState, policy string, sel prefindex.Selection
 		if _, ok := s.decisions.Peek(k); ok {
 			continue // already carried forward
 		}
-		out, err := s.prewarmEval(st, sel, policy, eng)
+		// The organic path's evaluation, with the rules the index proved
+		// cannot fire masked off. Evaluation returns the first firing
+		// rule in order, so the masked decision is the exhaustive one.
+		conv, err := s.conversion(sel.Pref.XML)
+		var d Decision
+		if err == nil {
+			d, err = s.evaluate(ctx, st, conv, policy, eng, sel.Mask, resource.NewMeter(ctx, s.matchBudget))
+		}
 		if err != nil {
 			// Conversion or evaluation failed — including the engine's
 			// own no-rule-fired. The organic path surfaces the same
@@ -261,7 +264,7 @@ func (s *Site) prewarmPair(st *siteState, policy string, sel prefindex.Selection
 			t.Skipped++
 			continue
 		}
-		s.decisions.Preseed(k, out)
+		s.decisions.Preseed(k, d.outcome())
 		t.Evaluated++
 		if sel.Static {
 			t.Static++
@@ -272,150 +275,4 @@ func (s *Site) prewarmPair(st *siteState, policy string, sel prefindex.Selection
 		t.SelectedRules += int64(sel.Selected)
 		t.TotalRules += int64(len(sel.Mask))
 	}
-}
-
-// prewarmEval runs one masked evaluation through the selected engine's
-// organic code path: same conversion cache, same statement execution,
-// same decision fields. The mask only skips rules the index proved
-// cannot fire, and engines return the first firing rule in order, so the
-// masked decision is identical to the exhaustive one.
-func (s *Site) prewarmEval(st *siteState, sel prefindex.Selection, policy string, engine Engine) (decision.Outcome, error) {
-	m := resource.NewMeter(context.Background(), s.matchBudget)
-	switch engine {
-	case EngineNative:
-		return s.prewarmNative(st, sel.Pref, policy, sel.Mask, m)
-	case EngineSQL:
-		return s.prewarmSQL(st, sel.Pref, policy, sel.Mask, m)
-	case EngineXTable:
-		return s.prewarmXTable(st, sel.Pref, policy, sel.Mask, m)
-	case EngineXQuery:
-		return s.prewarmXQuery(st, sel.Pref, policy, sel.Mask, m)
-	}
-	return decision.Outcome{}, fmt.Errorf("core: unknown engine %d", engine)
-}
-
-// maskFor guards against a conversion whose rule count disagrees with
-// the index's (it cannot happen — both parse the same document — but a
-// silent mismatch must degrade to exhaustive evaluation, never to
-// skipping the wrong rule).
-func maskFor(mask []bool, n int) []bool {
-	if len(mask) != n {
-		return nil
-	}
-	return mask
-}
-
-func (s *Site) prewarmNative(st *siteState, p *prefindex.Pref, policy string, mask []bool, m *resource.Meter) (decision.Outcome, error) {
-	conv, err := s.conversion(p.XML)
-	if err != nil {
-		return decision.Outcome{}, err
-	}
-	rs := conv.rs
-	var remap []int
-	if mask = maskFor(mask, len(rs.Rules)); mask != nil {
-		sub := &appel.Ruleset{}
-		for i, on := range mask {
-			if on {
-				sub.Rules = append(sub.Rules, rs.Rules[i])
-				remap = append(remap, i)
-			}
-		}
-		rs = sub
-	}
-	dec, err := s.native.MatchMeter(rs, st.policyXML[policy], m)
-	if err != nil {
-		return decision.Outcome{}, err
-	}
-	idx := dec.RuleIndex
-	if remap != nil {
-		idx = remap[dec.RuleIndex]
-	}
-	return decision.Outcome{
-		Behavior:        dec.Behavior,
-		RuleIndex:       idx,
-		RuleDescription: ruleDescription(conv.rs, idx),
-		Prompt:          dec.Prompt,
-	}, nil
-}
-
-func (s *Site) prewarmSQL(st *siteState, p *prefindex.Pref, policy string, mask []bool, m *resource.Meter) (decision.Outcome, error) {
-	rules, err := s.sqlConversion(p.XML)
-	if err != nil {
-		return decision.Outcome{}, err
-	}
-	mask = maskFor(mask, len(rules))
-	ctx := resource.WithMeter(context.Background(), m)
-	id := []reldb.Value{reldb.Int(int64(st.ids[policy]))}
-	for i, rule := range rules {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		fired, err := st.optDB.QueryExistsStmtCtx(ctx, rule.stmt, id...)
-		if err != nil {
-			return decision.Outcome{}, err
-		}
-		if fired {
-			return decision.Outcome{
-				Behavior:        rule.behavior,
-				RuleIndex:       i,
-				RuleDescription: rule.ruleDescription,
-				Prompt:          rule.prompt,
-			}, nil
-		}
-	}
-	return decision.Outcome{}, sqlgen.ErrNoRuleFired
-}
-
-func (s *Site) prewarmXTable(st *siteState, p *prefindex.Pref, policy string, mask []bool, m *resource.Meter) (decision.Outcome, error) {
-	conv, rules, err := s.xtableConversion(st, p.XML, policy)
-	if err != nil {
-		return decision.Outcome{}, err
-	}
-	mask = maskFor(mask, len(rules))
-	ctx := resource.WithMeter(context.Background(), m)
-	for i, rule := range rules {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		fired, err := st.genDB.QueryExistsStmtCtx(ctx, rule.stmt)
-		if err != nil {
-			return decision.Outcome{}, err
-		}
-		if fired {
-			return decision.Outcome{
-				Behavior:        rule.behavior,
-				RuleIndex:       i,
-				RuleDescription: ruleDescription(conv.rs, i),
-				Prompt:          rule.prompt,
-			}, nil
-		}
-	}
-	return decision.Outcome{}, appelengine.ErrNoRuleFired
-}
-
-func (s *Site) prewarmXQuery(st *siteState, p *prefindex.Pref, policy string, mask []bool, m *resource.Meter) (decision.Outcome, error) {
-	conv, rules, err := s.xqueryConversion(p.XML)
-	if err != nil {
-		return decision.Outcome{}, err
-	}
-	mask = maskFor(mask, len(rules))
-	ev := xquery.NewEvaluator(st.resolvers[policy]).WithMeter(m)
-	for i, rule := range rules {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		out, err := ev.Run(rule.query)
-		if err != nil {
-			return decision.Outcome{}, err
-		}
-		if out != "" {
-			return decision.Outcome{
-				Behavior:        out,
-				RuleIndex:       i,
-				RuleDescription: ruleDescription(conv.rs, i),
-				Prompt:          rule.prompt,
-			}, nil
-		}
-	}
-	return decision.Outcome{}, appelengine.ErrNoRuleFired
 }

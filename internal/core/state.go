@@ -368,12 +368,3 @@ func (s *Site) compactSummaryFor(pol *p3p.Policy) *compactSummary {
 	cs.evidence = s.native.Augment(sum.ToEvidence(pol.Name).ToDOM())
 	return cs
 }
-
-// mutate is the single-edit write path: a one-element batch through
-// ApplyBatch (batch.go), which serializes writers, drafts from the
-// current snapshot, applies the edit, materializes the successor aside,
-// and publishes it atomically. Matches in flight keep whatever snapshot
-// they loaded; new matches see the successor.
-func (s *Site) mutate(edit func(*stateDraft) error) error {
-	return s.ApplyBatch([]Mutation{{edit: edit}})
-}

@@ -1125,27 +1125,12 @@ func ApplyRecords(site *core.Site, recs []*Record) (int, error) {
 }
 
 // applyRecord replays one logged mutation through the site's public
-// write path.
+// write path: a one-mutation batch, whose errors are the edit's own,
+// unwrapped.
 func applyRecord(site *core.Site, rec *Record) error {
-	switch rec.Op {
-	case OpInstall:
-		_, err := site.InstallPolicyXML(rec.Doc)
+	m, err := MutationForRecord(rec)
+	if err != nil {
 		return err
-	case OpRemove:
-		return site.RemovePolicy(rec.Name)
-	case OpReference:
-		return site.InstallReferenceFileXML(rec.Doc)
-	case OpReplace:
-		pols, rf, err := parseExport(orderOf(rec.Docs), docsMap(rec.Docs), rec.Ref)
-		if err != nil {
-			return err
-		}
-		return site.ReplacePolicies(pols, rf)
-	case OpState:
-		exp := core.StateExport{Order: orderOf(rec.Docs), PolicyXML: docsMap(rec.Docs), ReferenceXML: rec.Ref, Prefs: prefExports(rec.Prefs)}
-		return site.RestoreState(exp)
-	case OpPref:
-		return site.RegisterPreferenceXML(rec.Name, rec.Doc, rec.Engines)
 	}
-	return fmt.Errorf("durable: unknown op %q", rec.Op)
+	return site.ApplyBatch([]core.Mutation{m})
 }
