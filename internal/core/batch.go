@@ -132,13 +132,28 @@ func RestoreStateMutation(exp StateExport) (Mutation, error) {
 	}, nil
 }
 
+// MutationError names the mutation whose edit failed in a batch of more
+// than one: Index is its zero-based position, Of the batch length, and
+// Err exactly what a one-mutation batch of it would have returned.
+type MutationError struct {
+	Index, Of int
+	Err       error
+}
+
+func (e *MutationError) Error() string {
+	return fmt.Sprintf("core: batch mutation %d of %d: %v", e.Index+1, e.Of, e.Err)
+}
+
+func (e *MutationError) Unwrap() error { return e.Err }
+
 // ApplyBatch applies the mutations in order onto one draft of the
 // current snapshot, materializes once, and publishes once. All-or-
 // nothing across the whole batch: an edit error or rebuild failure
-// leaves the site exactly as it was and the error names the offending
-// mutation. This is the bulk half of the write path — recovery replay
-// and follower apply feed whole log tails through it, paying one
-// backend rebuild for N records.
+// leaves the site exactly as it was. An edit error in a batch of more
+// than one is a *MutationError naming the offending mutation; a
+// one-mutation batch returns the edit's error unwrapped. This is the one
+// apply path — durable writers, recovery replay and follower apply all
+// feed their mutations through it, paying one backend rebuild for N.
 func (s *Site) ApplyBatch(muts []Mutation) error {
 	if len(muts) == 0 {
 		return nil
@@ -150,7 +165,7 @@ func (s *Site) ApplyBatch(muts []Mutation) error {
 	for i := range muts {
 		if err := muts[i].edit(d); err != nil {
 			if len(muts) > 1 {
-				return fmt.Errorf("core: batch mutation %d of %d: %w", i+1, len(muts), err)
+				return &MutationError{Index: i, Of: len(muts), Err: err}
 			}
 			return err
 		}

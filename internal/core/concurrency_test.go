@@ -34,10 +34,6 @@ func TestConcurrentMatching(t *testing.T) {
 		stable[i] = pol.Name
 	}
 	pref, _ := workload.PreferenceByLevel("High")
-	compiled, err := s.CompilePreference(pref.XML)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -64,18 +60,6 @@ func TestConcurrentMatching(t *testing.T) {
 			}
 		}()
 	}
-
-	// Compiled matcher.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 2*iters; i++ {
-			if _, err := s.MatchCompiled(compiled, stable[i%len(stable)]); err != nil {
-				errs <- fmt.Errorf("compiled: %w", err)
-				return
-			}
-		}
-	}()
 
 	// Churn: install and remove extra policies throughout.
 	wg.Add(1)

@@ -283,6 +283,27 @@ func (s *Site) sqlConversion(c *prefConv) ([]reldb.Statement, error) {
 	return stmts, nil
 }
 
+// compileRules translates rs against the optimized schema with the
+// policy id left as a parameter — so one compilation serves every policy
+// on the site. The statements are built as reldb executes them; no SQL
+// text is written or parsed. They are admitted under the same statement-
+// complexity limits a database opened with dbOpts applies to text it
+// prepares.
+func compileRules(rs *appel.Ruleset, dbOpts reldb.Options) ([]reldb.Statement, error) {
+	queries, err := sqlgen.BuildRulesetOptimized(rs, sqlgen.ParamPolicySubquery())
+	if err != nil {
+		return nil, err
+	}
+	stmts := make([]reldb.Statement, 0, len(queries))
+	for i, q := range queries {
+		if err := dbOpts.CheckComplexity(q.Stmt); err != nil {
+			return nil, fmt.Errorf("core: preparing rule %d: %w", i+1, err)
+		}
+		stmts = append(stmts, q.Stmt)
+	}
+	return stmts, nil
+}
+
 // xqueryConversion returns a preference's APPEL→XQuery translation as
 // parsed queries; the policy is bound at evaluation time through the
 // document resolver.

@@ -108,9 +108,9 @@ type Options struct {
 	// SkipAugmentationInNative disables category augmentation in the
 	// native engine (the §6.3.2 profiling ablation).
 	SkipAugmentationInNative bool
-	// DisableConversionCache turns off the per-Site compiled-preference
-	// cache, forcing the full parse/translate/prepare pipeline on every
-	// match (ablations and the uncached baseline).
+	// DisableConversionCache turns off the per-Site conversion cache,
+	// forcing the full parse/translate/prepare pipeline on every match
+	// (ablations and the uncached baseline).
 	DisableConversionCache bool
 	// ConversionCacheSize bounds the conversion cache; zero means the
 	// engine default (256 entries).
@@ -739,15 +739,14 @@ func (s *Site) match(ctx context.Context, st *siteState, prefXML, policyName str
 }
 
 // evaluate decides one preference against one policy of st: the paper's
-// first-match loop (§5, Figures 15/17) shared by organic matches,
-// pre-warm and compiled preferences. The engine's translation is read
-// from conv (and built into it on first use); the rules are then tried
-// in order, and the first that fires gives the decision. The engines
-// differ only in how one rule is tested — an SQL EXISTS over the
-// optimized schema with the policy id as parameter, a view-reconstructed
-// EXISTS over the generic schema, or an XQuery run against the native
-// store — so the decision fields come from the ruleset itself for every
-// engine.
+// first-match loop (§5, Figures 15/17) shared by organic matches and
+// pre-warm. The engine's translation is read from conv (and built into
+// it on first use); the rules are then tried in order, and the first
+// that fires gives the decision. The engines differ only in how one
+// rule is tested — an SQL EXISTS over the optimized schema with the
+// policy id as parameter, a view-reconstructed EXISTS over the generic
+// schema, or an XQuery run against the native store — so the decision
+// fields come from the ruleset itself for every engine.
 //
 // A non-nil mask switches rules off (pre-warm passes the rules the
 // preference index proved cannot fire). The native engine interprets the

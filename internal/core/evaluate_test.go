@@ -12,20 +12,13 @@ import (
 )
 
 // TestNoRuleFiredIsOneError: a ruleset without a catch-all that fires no
-// rule reports appelengine.ErrNoRuleFired whichever engine evaluated it,
-// and so does a compiled preference.
+// rule reports appelengine.ErrNoRuleFired whichever engine evaluated it.
 func TestNoRuleFiredIsOneError(t *testing.T) {
 	s := siteWithVolga(t)
 	noCatchAll := `<appel:RULESET xmlns:appel="http://www.w3.org/2002/01/APPELv1">
 	  <appel:RULE behavior="block"><POLICY><STATEMENT><PURPOSE appel:connective="or"><telemarketing/></PURPOSE></STATEMENT></POLICY></appel:RULE>
 	</appel:RULESET>`
-	compiled, err := s.CompilePreference(noCatchAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matches := map[string]func() (Decision, error){
-		"compiled": func() (Decision, error) { return s.MatchCompiled(compiled, "volga") },
-	}
+	matches := map[string]func() (Decision, error){}
 	for _, e := range Engines {
 		matches[e.ShortName()] = func() (Decision, error) { return s.MatchPolicy(noCatchAll, "volga", e) }
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -82,6 +83,33 @@ func TestInstallPolicyXMLAllOrNothing(t *testing.T) {
 	afterXML, err := s.PolicyXML("volga")
 	if err != nil || afterXML != beforeXML {
 		t.Errorf("volga document changed across failed install: %v", err)
+	}
+}
+
+// TestApplyBatchNamesFailingMutation: a batch whose second edit fails
+// publishes nothing and returns a *MutationError naming that edit, whose
+// Err is exactly the error the edit alone returns.
+func TestApplyBatchNamesFailingMutation(t *testing.T) {
+	s := siteWithVolga(t)
+	before := s.state.Load()
+	alone := s.ApplyBatch([]Mutation{RemovePolicyMutation("ghost")})
+	if alone == nil {
+		t.Fatal("removing a missing policy succeeded")
+	}
+	pol, err := p3p.ParsePolicy(benignPolicyXML("fresh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.ApplyBatch([]Mutation{InstallPolicyMutation(pol), RemovePolicyMutation("ghost"), RemovePolicyMutation("volga")})
+	var me *MutationError
+	if !errors.As(err, &me) || me.Index != 1 || me.Of != 3 || me.Err.Error() != alone.Error() {
+		t.Fatalf("batch error %#v, want MutationError{1, 3, %v}", err, alone)
+	}
+	if want := "core: batch mutation 2 of 3: " + alone.Error(); err.Error() != want {
+		t.Fatalf("error text %q, want %q", err, want)
+	}
+	if s.state.Load() != before {
+		t.Fatal("failed batch swapped the snapshot")
 	}
 }
 

@@ -5,8 +5,8 @@ package durable
 // refactor's contract — the batched path produces a site
 // indistinguishable from the pre-batching serial replay (same exports,
 // same compact-policy headers, same decisions on every engine), and
-// when the batch cannot apply, the serial fallback reproduces the exact
-// per-record error and applied prefix. The kill matrix
+// when the batch cannot apply, the prefix rule (applyPrefix) reproduces
+// the exact per-record error and applied prefix. The kill matrix
 // (killmatrix_test.go) runs on the batched path too, so torn-vs-corrupt
 // classification parity is covered byte-by-byte there.
 
@@ -21,7 +21,7 @@ import (
 
 // replaySerially reproduces the pre-batching recovery algorithm using a
 // tenant's recovered-but-unconsumed state: snapshot restore, then one
-// applyRecord per live tail record.
+// ApplyRecord per live tail record.
 func replaySerially(t *testing.T, tn *Tenant, site *core.Site) {
 	t.Helper()
 	snap, records := tn.pending, tn.pendingRecords
@@ -36,7 +36,7 @@ func replaySerially(t *testing.T, tn *Tenant, site *core.Site) {
 		if rec.LSN <= tn.snapLSN {
 			continue
 		}
-		if err := applyRecord(site, rec); err != nil {
+		if err := ApplyRecord(site, rec); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,6 +29,12 @@
 // and shares one fsync. Apply and append happen under one lock, so a
 // checkpoint can never capture a site state whose mutations are not yet
 // in the log (which would double-apply them on replay).
+//
+// ApplyBatch is the one apply loop for writers, recovery and followers.
+// A writer whose edit fails (core.MutationError) gets the edit's own
+// error and leaves its group; the rest retry as one batch. Recovery and
+// follower drains apply the longest prefix that applies (applyPrefix)
+// and report the first record that does not.
 package durable
 
 import (
@@ -37,6 +43,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -507,17 +514,13 @@ func (t *Tenant) Close() error {
 	return errors.Join(err, cerr)
 }
 
-// appendLocked frames and writes one record, assigning its LSN and
-// honouring the fsync policy. Caller holds t.mu. On a failed write —
-// or a failed fsync under FsyncAlways, where the record was never
-// acknowledged — the record's bytes are truncated away so the on-disk
-// log remains a clean prefix of acknowledged records; otherwise a
-// rolled-back mutation would resurrect on replay.
-//
-// sync=false defers FsyncAlways's per-record fsync to the caller, which
-// must issue one covering fsync for the run of appends (the batched
-// group path) and roll the whole run back if it fails.
-func (t *Tenant) appendLocked(rec *Record, sync bool) error {
+// appendLocked frames and writes one record, assigning its LSN. Caller
+// holds t.mu and owns the sync: it issues one covering fsync for its run
+// of appends and rolls the whole run back if that fails. On a failed
+// write the record's bytes are truncated away so the on-disk log remains
+// a clean prefix of acknowledged records; otherwise a rolled-back
+// mutation would resurrect on replay.
+func (t *Tenant) appendLocked(rec *Record) error {
 	if t.closed {
 		return ErrClosed
 	}
@@ -528,9 +531,6 @@ func (t *Tenant) appendLocked(rec *Record, sync bool) error {
 	}
 	prev := t.logBytes
 	n, err := appendFrame(t.f, frame)
-	if err == nil && sync && t.opts.Fsync == FsyncAlways {
-		err = syncFile(t.f)
-	}
 	if err != nil {
 		if terr := t.f.Truncate(prev); terr == nil {
 			_, _ = t.f.Seek(prev, 0)
@@ -548,10 +548,6 @@ func (t *Tenant) appendLocked(rec *Record, sync bool) error {
 	t.lsn++
 	t.since++
 	t.appendSeq++
-	if sync && t.opts.Fsync == FsyncAlways {
-		// The fsync above covered this append.
-		t.syncedSeq = t.appendSeq
-	}
 	close(t.changed)
 	t.changed = make(chan struct{})
 	obsAppends.Inc()
@@ -633,9 +629,9 @@ func (t *Tenant) apply(site *core.Site, rec *Record, mut core.Mutation) error {
 		// append, and join the batch before the creator re-acquires it —
 		// without it the creator barges back in ahead of the waiters it
 		// just woke (acute on one CPU) and every batch holds one group.
-		// A lone writer's yield is a no-op, so the serial path stays one
-		// append + one fsync with no goroutine handoff. The sync loop's
-		// ticker remains as hygiene for anything a creator never got to.
+		// A lone writer's yield is a no-op, so it stays one append + one
+		// fsync with no goroutine handoff. The sync loop's ticker remains
+		// as hygiene for anything a creator never got to.
 		runtime.Gosched()
 		t.mu.Lock()
 		if t.batch == created {
@@ -653,12 +649,12 @@ func (t *Tenant) apply(site *core.Site, rec *Record, mut core.Mutation) error {
 // Returns the commit batch this call opened, if any, so the caller can
 // commit it after releasing the lock.
 //
-// The group takes the batched path — one ApplyBatch, one snapshot
-// rebuild — when every mutation targets the same site. If that batch
-// fails (it is all-or-nothing, so one bad mutation poisons it), the
-// group falls back to per-mutation applies, reproducing exactly the
-// outcome of the unbatched design: a bad mutation fails alone with its
-// own error, the rest proceed.
+// The group applies as one ApplyBatch — one snapshot rebuild — however
+// many writers it holds. A mutation whose edit fails is resolved with
+// its own error, exactly what it would have got alone, and leaves the
+// group; the rest retry as one batch. A failure ApplyBatch cannot pin
+// on one mutation fails every writer in the group and leaves the site
+// unchanged.
 func (t *Tenant) processQueueLocked() *commitBatch {
 	t.qmu.Lock()
 	ops := t.queue
@@ -682,103 +678,95 @@ func (t *Tenant) processQueueLocked() *commitBatch {
 	prevBytes, prevLSN, prevSince := t.logBytes, t.lsn, t.since
 	prevSeq := t.appendSeq
 
-	batched := len(ops) > 1
+	muts := make([]core.Mutation, 0, len(ops))
+	group := ops[:0]
 	for _, op := range ops {
+		// One journal logs one site: an edit to another site would be
+		// logged here and replayed into the wrong one.
 		if op.site != site {
-			batched = false
+			op.resolve(errors.New("durable: mutation targets a different site than its journal's group"))
+			continue
+		}
+		muts = append(muts, op.mut)
+		group = append(group, op)
+	}
+	for {
+		err := site.ApplyBatch(muts)
+		if err == nil {
 			break
 		}
-	}
-	if batched {
-		muts := make([]core.Mutation, len(ops))
-		for i, op := range ops {
-			muts[i] = op.mut
-		}
-		batched = site.ApplyBatch(muts) == nil
-	}
-
-	applied := ops
-	if batched {
-		// One rebuild covered every mutation; now log them. The group's
-		// applies published as one snapshot, so a failure mid-group
-		// cannot leave the earlier ones acknowledged: the whole group
-		// rolls back — log truncated to the group start, site restored —
-		// and every writer in it fails.
-		var err error
-		for _, op := range ops {
-			if err = t.appendLocked(op.rec, false); err != nil {
-				break
-			}
-		}
-		if err == nil && t.opts.Fsync == FsyncAlways {
-			// One covering fsync acknowledges the whole group — the same
-			// guarantee as per-record syncs (no record is acknowledged
-			// before it is stable) at a fraction of the cost.
-			target := t.appendSeq
-			if err = syncFile(t.f); err == nil {
-				t.syncedSeq = target
-			}
-		}
-		if err != nil {
-			// appendLocked already truncated its own frame (or sealed
-			// the journal if it could not); peel back the group's
-			// earlier records the same way.
-			if !t.closed {
-				if terr := t.f.Truncate(prevBytes); terr == nil {
-					_, _ = t.f.Seek(prevBytes, 0)
-				} else {
-					t.closed = true
-					_ = t.f.Close()
-					err = errors.Join(err, terr)
-				}
-			}
-			t.logBytes = prevBytes
-			t.lsn = prevLSN
-			t.since = prevSince
-			if t.batch == nil {
-				// Nothing older is awaiting a sync, so the truncated
-				// prefix is fully covered; with an open batch, leave
-				// the counters pending for its fsync.
-				t.appendSeq = prevSeq
-				t.syncedSeq = prevSeq
-			}
-			if rerr := restore(site, prevExp); rerr != nil {
-				err = errors.Join(err, fmt.Errorf("durable: rollback failed, memory ahead of log: %w", rerr))
-			}
-			for _, o := range ops {
-				o.resolve(&AppendError{Err: err})
+		var me *core.MutationError
+		if !errors.As(err, &me) {
+			// A one-mutation group's own error, or a failure no single
+			// mutation owns: nothing applied.
+			for _, op := range group {
+				op.resolve(err)
 			}
 			return nil
 		}
-	} else {
-		// Serial path: each mutation applies and logs independently, with
-		// its own rollback point, so each writer sees exactly the error
-		// and side effects the unbatched path produced.
-		applied = make([]*mutOp, 0, len(ops))
-		for _, op := range ops {
-			exp := op.site.ExportState()
-			if err := op.site.ApplyBatch([]core.Mutation{op.mut}); err != nil {
-				op.resolve(err)
-				continue
-			}
-			if err := t.appendLocked(op.rec, true); err != nil {
-				if rerr := restore(op.site, exp); rerr != nil {
-					err = errors.Join(err, fmt.Errorf("durable: rollback failed, memory ahead of log: %w", rerr))
-				}
-				op.resolve(&AppendError{Err: err})
-				continue
-			}
-			applied = append(applied, op)
-		}
+		group[me.Index].resolve(me.Err)
+		group = slices.Delete(group, me.Index, me.Index+1)
+		muts = slices.Delete(muts, me.Index, me.Index+1)
 	}
-
-	if len(applied) == 0 {
+	if len(group) == 0 {
 		return nil
 	}
+
+	// One rebuild covered the group; now log it. The group's applies
+	// published as one snapshot, so a failure mid-group cannot leave the
+	// earlier ones acknowledged: the whole group rolls back — log
+	// truncated to the group start, site restored — and every writer in
+	// it fails.
+	var err error
+	for _, op := range group {
+		if err = t.appendLocked(op.rec); err != nil {
+			break
+		}
+	}
+	if err == nil && t.opts.Fsync == FsyncAlways {
+		// One covering fsync acknowledges the whole group: no record is
+		// acknowledged before it is stable.
+		target := t.appendSeq
+		if err = syncFile(t.f); err == nil {
+			t.syncedSeq = target
+		}
+	}
+	if err != nil {
+		// appendLocked already truncated its own frame (or sealed the
+		// journal if it could not); peel back the group's earlier
+		// records the same way.
+		if !t.closed {
+			if terr := t.f.Truncate(prevBytes); terr == nil {
+				_, _ = t.f.Seek(prevBytes, 0)
+			} else {
+				t.closed = true
+				_ = t.f.Close()
+				err = errors.Join(err, terr)
+			}
+		}
+		t.logBytes = prevBytes
+		t.lsn = prevLSN
+		t.since = prevSince
+		if t.batch == nil {
+			// Nothing older is awaiting a sync, so the truncated prefix
+			// is fully covered; with an open batch, leave the counters
+			// pending for its fsync.
+			t.appendSeq = prevSeq
+			t.syncedSeq = prevSeq
+		}
+		if rerr := restore(site, prevExp); rerr != nil {
+			err = errors.Join(err, fmt.Errorf("durable: rollback failed, memory ahead of log: %w", rerr))
+		}
+		for _, op := range group {
+			op.resolve(&AppendError{Err: err})
+		}
+		return nil
+	}
+
 	if t.opts.Fsync != FsyncInterval {
-		// FsyncAlways synced inside appendLocked; FsyncNever leaves
-		// syncing to the OS. Either way the group is acknowledged.
-		for _, op := range applied {
+		// FsyncAlways synced above; FsyncNever leaves syncing to the OS.
+		// Either way the group is acknowledged.
+		for _, op := range group {
 			op.resolve(nil)
 		}
 		return nil
@@ -794,7 +782,7 @@ func (t *Tenant) processQueueLocked() *commitBatch {
 		}
 		t.batch = created
 	}
-	t.batch.ops = append(t.batch.ops, applied...)
+	t.batch.ops = append(t.batch.ops, group...)
 	return created
 }
 
@@ -968,9 +956,11 @@ func (t *Tenant) MaybeCheckpoint(site *core.Site) error {
 }
 
 // ReplayInto applies the state recovered at OpenTenant to a fresh site:
-// the snapshot first (one all-or-nothing ReplacePolicies swap), then
-// every log record past the snapshot's LSN in order. It consumes the
-// recovered state; calling it twice is an error.
+// the snapshot and every log record past its LSN, in order, as one
+// batch — one snapshot rebuild for the whole recovery. A record that
+// cannot apply stops recovery there, with the snapshot and the records
+// before it applied (applyPrefix). It consumes the recovered state;
+// calling it twice is an error.
 func (t *Tenant) ReplayInto(site *core.Site) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -981,78 +971,43 @@ func (t *Tenant) ReplayInto(site *core.Site) error {
 	snap, records := t.pending, t.pendingRecords
 	t.pending, t.pendingRecords = nil, nil
 
-	// Fast path: translate the snapshot and every live tail record into
-	// one mutation batch, so the whole recovery costs a single snapshot
-	// rebuild instead of one per record. Any failure — a record that
-	// refuses to translate or a batch apply error — falls back to the
-	// serial path, which reproduces the pre-batching error formats and
-	// prefix-applied semantics exactly. (ApplyBatch is all-or-nothing,
-	// so a failed batch leaves the site untouched for the retry.)
-	replayed, batchErr := t.replayBatch(site, snap, records)
-	if batchErr != nil {
-		replayed = 0
-		if snap != nil {
-			exp := core.StateExport{Order: snap.Order, PolicyXML: snap.Policies, ReferenceXML: snap.Reference, Prefs: prefExports(snap.Prefs)}
-			if err := site.RestoreState(exp); err != nil {
-				return fmt.Errorf("durable: snapshot replay: %w", err)
-			}
-		}
-		for i := range records {
-			rec := &records[i]
-			if rec.LSN <= t.snapLSN {
-				// Covered by the snapshot: a crash landed between
-				// snapshot rename and log truncation.
-				continue
-			}
-			if err := applyRecord(site, rec); err != nil {
-				return fmt.Errorf("durable: replaying record %d (%s): %w", rec.LSN, rec.Op, err)
-			}
-			replayed++
-		}
-	}
-	obsRecoveries.Inc()
-	obsReplayed.Add(int64(replayed))
-	return nil
-}
-
-// replayBatch is ReplayInto's bulk path: snapshot restore plus the log
-// tail as one core.ApplyBatch. Returns the number of tail records it
-// covered; any error means nothing was applied.
-func (t *Tenant) replayBatch(site *core.Site, snap *Snapshot, records []Record) (int, error) {
-	muts := make([]core.Mutation, 0, len(records)+1)
+	var head []core.Mutation
 	if snap != nil {
 		m, err := core.RestoreStateMutation(core.StateExport{Order: snap.Order, PolicyXML: snap.Policies, ReferenceXML: snap.Reference, Prefs: prefExports(snap.Prefs)})
 		if err != nil {
-			return 0, err
+			return fmt.Errorf("durable: snapshot replay: %w", err)
 		}
-		muts = append(muts, m)
+		head = []core.Mutation{m}
 	}
-	replayed := 0
+	var live []*Record
 	for i := range records {
-		rec := &records[i]
-		if rec.LSN <= t.snapLSN {
-			continue
+		// Records at or below the snapshot's LSN are covered by it: a
+		// crash landed between snapshot rename and log truncation.
+		if records[i].LSN > t.snapLSN {
+			live = append(live, &records[i])
 		}
-		m, err := MutationForRecord(rec)
-		if err != nil {
-			return 0, err
+	}
+	n, err := applyPrefix(site, head, live)
+	n -= len(head) // tail records applied; -1 when the snapshot failed
+	if err != nil {
+		if n < 0 {
+			return fmt.Errorf("durable: snapshot replay: %w", err)
 		}
-		muts = append(muts, m)
-		replayed++
+		return fmt.Errorf("durable: replaying record %d (%s): %w", live[n].LSN, live[n].Op, err)
 	}
-	if err := site.ApplyBatch(muts); err != nil {
-		return 0, err
-	}
-	return replayed, nil
+	obsRecoveries.Inc()
+	obsReplayed.Add(int64(n))
+	return nil
 }
 
 // ApplyRecord replays one logged mutation through the site's public
 // write path. It is the follower half of replication: each record lands
 // as one all-or-nothing snapshot swap, so a follower killed (or a stream
 // cut) between records always serves a state some leader acknowledgement
-// produced, never a partial one.
+// produced, never a partial one. Its errors are the mutation's own.
 func ApplyRecord(site *core.Site, rec *Record) error {
-	return applyRecord(site, rec)
+	_, err := applyPrefix(site, nil, []*Record{rec})
+	return err
 }
 
 // MutationForRecord translates one logged mutation into a core.Mutation
@@ -1091,46 +1046,39 @@ func MutationForRecord(rec *Record) (core.Mutation, error) {
 }
 
 // ApplyRecords replays a run of logged mutations through one snapshot
-// swap — the follower's batch-drain path. If the batch refuses to
-// translate or apply, it falls back to serial per-record apply so
-// callers observe the same error and the same applied prefix as the
-// one-record path (ApplyBatch is all-or-nothing, so the fallback starts
-// from untouched state). Returns how many records were applied.
+// swap — the follower's batch-drain path. A record that cannot apply
+// stops the run there: the records before it land, and the error is the
+// one ApplyRecord gives for it alone. Returns how many records applied.
 func ApplyRecords(site *core.Site, recs []*Record) (int, error) {
-	if len(recs) == 1 {
-		if err := applyRecord(site, recs[0]); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	}
-	muts := make([]core.Mutation, 0, len(recs))
-	batched := true
+	return applyPrefix(site, nil, recs)
+}
+
+// applyPrefix lands head, then recs translated in order, as one
+// ApplyBatch and returns how many of them (head included) applied. It
+// applies the longest prefix that can: a record that fails to translate
+// ends the batch before it, and if the edit at index i fails, the first
+// i apply as one batch instead. The error is the failing mutation's own.
+// A failure ApplyBatch cannot pin on one mutation applies nothing.
+func applyPrefix(site *core.Site, head []core.Mutation, recs []*Record) (int, error) {
+	muts := slices.Clip(head)
+	var err error
 	for _, rec := range recs {
-		m, err := MutationForRecord(rec)
-		if err != nil {
-			batched = false
+		m, terr := MutationForRecord(rec)
+		if terr != nil {
+			err = terr
 			break
 		}
 		muts = append(muts, m)
 	}
-	if batched && site.ApplyBatch(muts) == nil {
-		return len(recs), nil
-	}
-	for i, rec := range recs {
-		if err := applyRecord(site, rec); err != nil {
-			return i, err
+	if berr := site.ApplyBatch(muts); berr != nil {
+		var me *core.MutationError
+		if !errors.As(berr, &me) {
+			return 0, berr
+		}
+		muts, err = muts[:me.Index], me.Err
+		if berr := site.ApplyBatch(muts); berr != nil {
+			return 0, berr
 		}
 	}
-	return len(recs), nil
-}
-
-// applyRecord replays one logged mutation through the site's public
-// write path: a one-mutation batch, whose errors are the edit's own,
-// unwrapped.
-func applyRecord(site *core.Site, rec *Record) error {
-	m, err := MutationForRecord(rec)
-	if err != nil {
-		return err
-	}
-	return site.ApplyBatch([]core.Mutation{m})
+	return len(muts), err
 }
