@@ -5,16 +5,34 @@
 //
 // With -demo the server starts preloaded with the synthesized 29-policy
 // corpus and its reference file, so clients can match immediately. The
-// API:
+// API, one line per route (a test holds every line to a live route):
 //
-//	POST /policies           install a POLICY/POLICIES document
-//	GET  /policies           list installed policy names
-//	GET  /policies/{name}    fetch a policy document
-//	DELETE /policies/{name}  remove a policy (versioning)
-//	POST /reference          install the META reference file
-//	POST /match?uri=&engine= match the APPEL body; engines: native, sql,
-//	                         xtable, xquery
-//	GET  /analytics          site-owner conflict statistics
+//	POST /policies               install a POLICY/POLICIES document
+//	GET  /policies               list installed policy names
+//	GET  /policies/{name}        fetch a policy document (P3P: CP header)
+//	DELETE /policies/{name}      remove a policy (versioning)
+//	GET  /compact/{name}         a policy's compact (CP header) form
+//	POST /reference              install the META reference file
+//	GET  /reference              fetch it (a hybrid client resolves URIs itself)
+//	GET  /check?url=&cookie=&level=
+//	                             the protocol loop: reference-file lookup,
+//	                             compact fast path, full match on fallback
+//	POST /check?url=&cookie=&engine=
+//	                             the same, with the APPEL body as preference
+//	POST /matchpolicy?policy=&engine=
+//	                             full decision of the APPEL body against a
+//	                             named policy; engines: native, sql, xtable,
+//	                             xquery
+//	POST /matchall?engine=       full decisions against every policy
+//	POST /prefs?name=&engines=   register a preference for pre-warming
+//	GET  /prefs                  registrations and decision-cache warmth
+//	GET  /analytics              site-owner conflict statistics
+//	GET  /durability             the log position (with -durable)
+//	GET  /wal?from=&wait=        the log stream followers tail (with -durable)
+//	GET  /metrics                counters and histograms
+//	GET  /debug/vars             the same as expvar
+//	GET  /healthz                liveness
+//	GET  /readyz                 readiness
 //
 // Resource governance: -budget caps evaluator steps per match (503
 // budget-exceeded past it), -timeout bounds each matching request's
@@ -293,8 +311,12 @@ func main() {
 					fatal(err)
 				}
 			}
-			log.Printf("preloaded %d policies; try: curl -X POST --data-binary @pref.xml 'http://localhost%s/match?uri=%s'",
-				len(d.Policies), *addr, d.URIFor(d.Policies[0].Name))
+			host := *addr
+			if strings.HasPrefix(host, ":") {
+				host = "localhost" + host
+			}
+			log.Printf("preloaded %d policies; try: curl 'http://%s/check?url=%s&level=mild'",
+				len(d.Policies), host, d.URIFor(d.Policies[0].Name))
 		}
 		srv = server.NewWithOptions(site, srvOpts).HTTPServer(*addr)
 	}

@@ -102,25 +102,21 @@ func main() {
 	}
 	fmt.Printf("site owner installed policies %v and the reference file\n\n", installed)
 
-	// --- Two thin clients browse.
-	jane := server.NewClient(base)
-	jane.Preference = appel.JanePreferenceXML
-	pat := server.NewClient(base)
-	pat.Preference = patPreference
-
+	// --- Two thin clients browse, each sending only its preference.
+	client := server.NewClient(base)
 	pages := []string{"/books/dune", "/cart", "/checkout/pay", "/books/emma"}
-	for name, client := range map[string]*server.Client{"Jane": jane, "Pat": pat} {
+	for name, pref := range map[string]string{"Jane": appel.JanePreferenceXML, "Pat": patPreference} {
 		fmt.Printf("%s browses:\n", name)
 		for _, page := range pages {
-			d, err := client.CanVisit(page)
+			res, _, err := client.Check(server.CheckRequest{URL: page, Preference: pref})
 			if err != nil {
 				log.Fatal(err)
 			}
 			verdict := "OK  "
-			if d.Behavior == "block" {
+			if !res.Allowed {
 				verdict = "STOP"
 			}
-			fmt.Printf("  %s %-14s policy=%-9s %s\n", verdict, page, d.PolicyName, blockReason(d))
+			fmt.Printf("  %s %-14s policy=%-9s %s\n", verdict, page, res.URL.PolicyName, blockReason(res.URL))
 		}
 		fmt.Println()
 	}
@@ -136,9 +132,12 @@ func main() {
 	}
 }
 
-func blockReason(d server.MatchResponse) string {
-	if d.Behavior != "block" {
+// blockReason names the rule behind a block. A block always carries the
+// engine's decision; an allow proved on the compact fast path carries
+// none.
+func blockReason(p *server.CheckPartResponse) string {
+	if p.Allowed || p.Decision == nil {
 		return ""
 	}
-	return fmt.Sprintf("(blocked by rule %d)", d.RuleIndex+1)
+	return fmt.Sprintf("(blocked by rule %d)", p.Decision.RuleIndex+1)
 }

@@ -101,7 +101,7 @@ func main() {
 			clientDec.Behavior)
 
 		// --- Server-centric: one call, full policy, database matching.
-		serverDec, err := site.MatchCookie(pref, cookie, core.EngineSQL)
+		serverDec, err := site.MatchPolicy(pref, name, core.EngineSQL)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -93,20 +93,24 @@ func main() {
 
 	// --- Server-centric session: one small decision per page.
 	thin := server.NewClient(base)
-	thin.Preference = pref.XML
 	thin.Engine = "sql"
 	var decisionBytes int
 	var serverReported time.Duration
 	blocked = 0
 	for _, page := range pages {
-		dec, err := thin.CanVisit(page)
+		res, _, err := thin.Check(server.CheckRequest{URL: page, Preference: pref.XML})
 		if err != nil {
 			log.Fatal(err)
 		}
-		decisionBytes += len(dec.Behavior)
-		serverReported += time.Duration(dec.ConvertMicros+dec.QueryMicros) * time.Microsecond
-		if dec.Behavior == "block" {
+		verdict := "allow"
+		if !res.Allowed {
+			verdict = "block"
 			blocked++
+		}
+		decisionBytes += len(verdict)
+		// A fast-path allow ran no engine and carries no decision.
+		if dec := res.URL.Decision; dec != nil {
+			serverReported += time.Duration(dec.ConvertMicros+dec.QueryMicros) * time.Microsecond
 		}
 	}
 	fmt.Printf("server-centric session over %d pages:\n", len(pages))

@@ -170,7 +170,11 @@ func TestSetup(t *testing.T) {
 		t.Errorf("setup installed %d policies", len(site.PolicyNames()))
 	}
 	// Reference file resolution works end to end.
-	if _, err := site.MatchURI(d.Preferences[4].XML, d.URIFor(d.Policies[0].Name), core.EngineSQL); err != nil {
-		t.Errorf("MatchURI: %v", err)
+	name, err := site.PolicyForURI(d.URIFor(d.Policies[0].Name))
+	if err != nil {
+		t.Fatalf("PolicyForURI: %v", err)
+	}
+	if _, err := site.MatchPolicy(d.Preferences[4].XML, name, core.EngineSQL); err != nil {
+		t.Errorf("MatchPolicy: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"p3pdb/internal/appelengine"
 	"p3pdb/internal/compact"
@@ -73,7 +72,7 @@ func (s *Site) CheckURI(prefXML, uri string, engine Engine) (CheckResult, error)
 	return s.CheckURICtx(context.Background(), prefXML, uri, engine)
 }
 
-// CheckURICtx is CheckURI governed by a context (see MatchURICtx).
+// CheckURICtx is CheckURI governed by a context (see MatchPolicyCtx).
 func (s *Site) CheckURICtx(ctx context.Context, prefXML, uri string, engine Engine) (CheckResult, error) {
 	st := s.state.Load()
 	name, err := st.policyForURI(uri)
@@ -97,22 +96,6 @@ func (s *Site) CheckCookieCtx(ctx context.Context, prefXML, cookieName string, e
 		return CheckResult{}, err
 	}
 	return s.check(ctx, st, prefXML, name, engine)
-}
-
-// CheckPolicy runs the fast path and fallback directly against a named
-// policy: the hybrid deployment's entry point, where the client already
-// resolved the reference file itself.
-func (s *Site) CheckPolicy(prefXML, policyName string, engine Engine) (CheckResult, error) {
-	return s.CheckPolicyCtx(context.Background(), prefXML, policyName, engine)
-}
-
-// CheckPolicyCtx is CheckPolicy governed by a context.
-func (s *Site) CheckPolicyCtx(ctx context.Context, prefXML, policyName string, engine Engine) (CheckResult, error) {
-	st := s.state.Load()
-	if _, ok := st.policyXML[policyName]; !ok {
-		return CheckResult{}, fmt.Errorf("core: policy %q not installed", policyName)
-	}
-	return s.check(ctx, st, prefXML, policyName, engine)
 }
 
 // check tries the compact pre-decision and falls back to the full match

@@ -27,13 +27,13 @@ func TestCheckErrorPaths(t *testing.T) {
 	if _, err := site.CheckURI(pref.XML, "/no-such-site/index.html", EngineSQL); err == nil {
 		t.Error("unresolvable URI: want error")
 	}
-	if _, err := site.CheckPolicy(pref.XML, "ghost-industries", EngineSQL); err == nil {
+	if _, err := site.MatchPolicy(pref.XML, "ghost-industries", EngineSQL); err == nil {
 		t.Error("unknown policy: want error")
 	}
 	// A preference that fails conversion takes the "preference-error"
 	// fallback, and the full engine must surface the same failure.
 	pol := d.Policies[0].Name
-	if _, err := site.CheckPolicy("<appel:RULESET", pol, EngineSQL); err == nil {
+	if _, err := checkPolicy(site, "<appel:RULESET", pol, EngineSQL); err == nil {
 		t.Error("malformed preference: want error from the fallback engine")
 	}
 	// A preference with no catch-all can leave full matching with no
@@ -46,7 +46,7 @@ func TestCheckErrorPaths(t *testing.T) {
 	</appel:RULESET>`
 	allErrored := true
 	for _, p := range d.Policies {
-		res, err := site.CheckPolicy(noOtherwise, p.Name, EngineSQL)
+		res, err := checkPolicy(site, noOtherwise, p.Name, EngineSQL)
 		if err != nil {
 			if !strings.Contains(err.Error(), "no rule fired") {
 				t.Fatalf("%s: unexpected error %v", p.Name, err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -11,6 +12,12 @@ import (
 	"p3pdb/internal/reldb"
 	"p3pdb/internal/workload"
 )
+
+// checkPolicy runs the protocol loop against a named policy: what
+// CheckURI and CheckCookie do once the reference file has named it.
+func checkPolicy(s *Site, prefXML, policyName string, engine Engine) (CheckResult, error) {
+	return s.check(context.Background(), s.state.Load(), prefXML, policyName, engine)
+}
 
 // checkCorpus builds the conservatism corpus: every conformance policy
 // plus the full generated workload set on one site, and every
@@ -57,7 +64,7 @@ func TestCheckConservatism(t *testing.T) {
 	fastPaths := 0
 	for prefStem, prefXML := range prefs {
 		for _, polName := range policyNames {
-			res, err := s.CheckPolicy(prefXML, polName, EngineSQL)
+			res, err := checkPolicy(s, prefXML, polName, EngineSQL)
 			if err != nil {
 				// The check surfaces the full engine's errors (a
 				// preference with no catch-all, for example); it must
@@ -204,7 +211,7 @@ func TestCheckForcedFallback(t *testing.T) {
 		if res.FallbackReason != "forced" {
 			t.Errorf("%s: fallback reason %q, want forced", pol.Name, res.FallbackReason)
 		}
-		full, err := s.MatchURI(pref.XML, d.URIFor(pol.Name), EngineSQL)
+		full, err := matchURI(s, pref.XML, d.URIFor(pol.Name), EngineSQL)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -126,7 +126,7 @@ func TestConversionCacheOneParsePerPreference(t *testing.T) {
 	check := func(pref, policy string, engine Engine, wantMisses int64) {
 		t.Helper()
 		before := misses()
-		res, err := s.CheckPolicy(pref, policy, engine)
+		res, err := checkPolicy(s, pref, policy, engine)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -476,55 +476,23 @@ func (s *Site) PolicyForURI(uri string) (string, error) {
 	return s.state.Load().policyForURI(uri)
 }
 
-// MatchURI matches a preference against the policy covering a URI,
-// using the selected engine. This is the Figure 6 step.
-func (s *Site) MatchURI(prefXML, uri string, engine Engine) (Decision, error) {
-	return s.MatchURICtx(context.Background(), prefXML, uri, engine)
-}
-
-// MatchURICtx is MatchURI governed by a context: cancellation or
-// deadline expiry aborts evaluation with a resource.ErrCanceled-wrapping
-// error, and the Site's match budget (Options.MatchBudget) aborts
-// runaway preferences with resource.ErrBudgetExceeded.
-func (s *Site) MatchURICtx(ctx context.Context, prefXML, uri string, engine Engine) (Decision, error) {
-	st := s.state.Load()
-	name, err := st.policyForURI(uri)
-	if err != nil {
-		return Decision{}, err
-	}
-	return s.match(ctx, st, prefXML, name, engine)
-}
-
 // PolicyForCookie resolves which policy governs a cookie by name, via the
 // reference file's COOKIE-INCLUDE/COOKIE-EXCLUDE patterns.
 func (s *Site) PolicyForCookie(cookieName string) (string, error) {
 	return s.state.Load().policyForCookie(cookieName)
 }
 
-// MatchCookie matches a preference against the policy covering a cookie:
-// the server-centric counterpart of IE6's cookie checking (Section 3.2 of
-// the paper), driven by the reference file's cookie patterns instead of
-// compact-policy headers.
-func (s *Site) MatchCookie(prefXML, cookieName string, engine Engine) (Decision, error) {
-	return s.MatchCookieCtx(context.Background(), prefXML, cookieName, engine)
-}
-
-// MatchCookieCtx is MatchCookie governed by a context (see MatchURICtx).
-func (s *Site) MatchCookieCtx(ctx context.Context, prefXML, cookieName string, engine Engine) (Decision, error) {
-	st := s.state.Load()
-	name, err := st.policyForCookie(cookieName)
-	if err != nil {
-		return Decision{}, err
-	}
-	return s.match(ctx, st, prefXML, name, engine)
-}
-
-// MatchPolicy matches a preference directly against a named policy.
+// MatchPolicy matches a preference directly against a named policy,
+// using the selected engine. With PolicyForURI or PolicyForCookie in
+// front it is the Figure 6 step.
 func (s *Site) MatchPolicy(prefXML, policyName string, engine Engine) (Decision, error) {
 	return s.MatchPolicyCtx(context.Background(), prefXML, policyName, engine)
 }
 
-// MatchPolicyCtx is MatchPolicy governed by a context (see MatchURICtx).
+// MatchPolicyCtx is MatchPolicy governed by a context: cancellation or
+// deadline expiry aborts evaluation with a resource.ErrCanceled-wrapping
+// error, and the Site's match budget (Options.MatchBudget) aborts
+// runaway preferences with resource.ErrBudgetExceeded.
 func (s *Site) MatchPolicyCtx(ctx context.Context, prefXML, policyName string, engine Engine) (Decision, error) {
 	return s.matchPolicyState(ctx, s.state.Load(), prefXML, policyName, engine)
 }

@@ -86,8 +86,15 @@ func TestMatchCookieThroughCore(t *testing.T) {
 	</STATEMENT></POLICY>`); err != nil {
 		t.Fatal(err)
 	}
+	matchCookie := func(cookie string, engine Engine) (Decision, error) {
+		name, err := s.PolicyForCookie(cookie)
+		if err != nil {
+			return Decision{}, err
+		}
+		return s.MatchPolicy(appel.JanePreferenceXML, name, engine)
+	}
 	// Cookie matching before a reference file is installed fails.
-	if _, err := s.MatchCookie(appel.JanePreferenceXML, "uid", EngineSQL); err == nil {
+	if _, err := matchCookie("uid", EngineSQL); err == nil {
 		t.Error("no reference file should error")
 	}
 	if err := s.InstallReferenceFileXML(`<META><POLICY-REFERENCES>
@@ -96,7 +103,7 @@ func TestMatchCookieThroughCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, engine := range Engines {
-		d, err := s.MatchCookie(appel.JanePreferenceXML, "uid_1", engine)
+		d, err := matchCookie("uid_1", engine)
 		if err != nil {
 			t.Fatalf("%v: %v", engine, err)
 		}
@@ -104,7 +111,7 @@ func TestMatchCookieThroughCore(t *testing.T) {
 			t.Errorf("%v: %+v", engine, d)
 		}
 	}
-	if _, err := s.MatchCookie(appel.JanePreferenceXML, "other", EngineSQL); err == nil {
+	if _, err := matchCookie("other", EngineSQL); err == nil {
 		t.Error("uncovered cookie should error")
 	}
 	name, err := s.PolicyForCookie("uid_9")

@@ -29,6 +29,16 @@ func siteWithVolga(t testing.TB) *Site {
 	return s
 }
 
+// matchURI is the Figure 6 step: the reference file names the policy
+// covering a URI, and the engine matches the preference against it.
+func matchURI(s *Site, prefXML, uri string, engine Engine) (Decision, error) {
+	name, err := s.PolicyForURI(uri)
+	if err != nil {
+		return Decision{}, err
+	}
+	return s.MatchPolicy(prefXML, name, engine)
+}
+
 func TestInstallAndNames(t *testing.T) {
 	s := siteWithVolga(t)
 	names := s.PolicyNames()
@@ -50,7 +60,7 @@ func TestInstallAndNames(t *testing.T) {
 func TestMatchAllEnginesAgreeOnPaperExample(t *testing.T) {
 	s := siteWithVolga(t)
 	for _, engine := range Engines {
-		d, err := s.MatchURI(appel.JanePreferenceXML, "/books/1", engine)
+		d, err := matchURI(s, appel.JanePreferenceXML, "/books/1", engine)
 		if err != nil {
 			t.Fatalf("%v: %v", engine, err)
 		}
@@ -88,7 +98,7 @@ func TestMatchURIErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.MatchURI(appel.JanePreferenceXML, "/x", EngineSQL); err == nil {
+	if _, err := matchURI(s, appel.JanePreferenceXML, "/x", EngineSQL); err == nil {
 		t.Error("no reference file should error")
 	}
 	if _, err := s.InstallPolicyXML(p3p.VolgaPolicyXML); err != nil {
@@ -99,10 +109,10 @@ func TestMatchURIErrors(t *testing.T) {
 	  </POLICY-REFERENCES></META>`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.MatchURI(appel.JanePreferenceXML, "/uncovered", EngineSQL); err == nil {
+	if _, err := matchURI(s, appel.JanePreferenceXML, "/uncovered", EngineSQL); err == nil {
 		t.Error("uncovered URI should error")
 	}
-	if _, err := s.MatchURI("not xml", "/covered/x", EngineSQL); err == nil {
+	if _, err := matchURI(s, "not xml", "/covered/x", EngineSQL); err == nil {
 		t.Error("bad preference should error")
 	}
 }

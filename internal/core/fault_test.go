@@ -181,7 +181,7 @@ func TestConvFillFiresOncePerFill(t *testing.T) {
 	if err := faultkit.Enable(faultkit.PointConvFill + ":error:after=1"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.CheckPolicy(pref, "volga", EngineSQL)
+	res, err := checkPolicy(s, pref, "volga", EngineSQL)
 	if err != nil || res.FastPath {
 		t.Fatalf("check should fall back and succeed on the one allowed fill: %+v, %v", res, err)
 	}

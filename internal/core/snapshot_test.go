@@ -414,7 +414,7 @@ func TestReplacePoliciesValidatesRefFile(t *testing.T) {
 	if s.state.Load() != before {
 		t.Error("failed replace swapped the snapshot")
 	}
-	if d, err := s.MatchURI(appel.JanePreferenceXML, "/books/1", EngineSQL); err != nil || d.PolicyName != "volga" {
+	if d, err := matchURI(s, appel.JanePreferenceXML, "/books/1", EngineSQL); err != nil || d.PolicyName != "volga" {
 		t.Errorf("site changed after failed replace: %+v %v", d, err)
 	}
 }

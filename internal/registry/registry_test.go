@@ -60,7 +60,11 @@ func TestLazyLoadAndMatch(t *testing.T) {
 	if names := site.PolicyNames(); len(names) != 1 || names[0] != "volga" {
 		t.Fatalf("policies = %v", names)
 	}
-	d, err := site.MatchURI(appel.JanePreferenceXML, "/books/1", core.EngineSQL)
+	name, err := site.PolicyForURI("/books/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := site.MatchPolicy(appel.JanePreferenceXML, name, core.EngineSQL)
 	if err != nil || d.Behavior != "request" {
 		t.Fatalf("match through lazily loaded site: %+v %v", d, err)
 	}

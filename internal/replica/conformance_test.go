@@ -111,7 +111,7 @@ func decide(t *testing.T, base, path, pref string) (int, string, string) {
 }
 
 // runReplicationConformance seeds a leader with the conformance corpus,
-// catches a follower up, and demands byte-identical normalized /match
+// catches a follower up, and demands byte-identical normalized /matchpolicy
 // and /check decisions — including the P3P compact-policy header — for
 // every corpus policy x preference x engine.
 func runReplicationConformance(t *testing.T) {
@@ -165,12 +165,12 @@ func runReplicationConformance(t *testing.T) {
 	for prefStem, prefXML := range preferences {
 		for _, pol := range names {
 			for _, engine := range engines {
-				q := url.Values{"uri": {"/" + pol + "/index.html"}, "engine": {engine}}
-				path := "/match?" + q.Encode()
+				q := url.Values{"policy": {pol}, "engine": {engine}}
+				path := "/matchpolicy?" + q.Encode()
 				ls, lb, lcp := decide(t, lbase, path, prefXML)
 				fsc, fb, fcp := decide(t, fbase, path, prefXML)
 				if ls != fsc || lb != fb || lcp != fcp {
-					t.Errorf("/match %s/%s/%s diverges:\nleader   %d %s [P3P %q]\nfollower %d %s [P3P %q]",
+					t.Errorf("/matchpolicy %s/%s/%s diverges:\nleader   %d %s [P3P %q]\nfollower %d %s [P3P %q]",
 						prefStem, pol, engine, ls, lb, lcp, fsc, fb, fcp)
 				}
 

@@ -2,7 +2,7 @@
 // (DESIGN.md §12): a Node tails a leader's per-tenant write-ahead log
 // over HTTP (GET /sites/{name}/wal?from=), applies each record through
 // the same snapshot-swap path local recovery uses, and serves read-only
-// /match, /matchall, and /check from its local snapshots. Writes are
+// /check, /matchpolicy, and /matchall from its local snapshots. Writes are
 // rejected with a typed 403 naming the leader; /readyz is lag-gated so
 // a router keeps a stale follower out of rotation until it catches up.
 //

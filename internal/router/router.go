@@ -271,7 +271,7 @@ func (rt *Router) pick(tenant string) *backend {
 // readEndpoints are tenant API endpoints that never mutate state even
 // under POST (the matching endpoints accept POST bodies).
 var readEndpoints = map[string]bool{
-	"match": true, "matchall": true, "matchpolicy": true, "matchcookie": true,
+	"matchall": true, "matchpolicy": true,
 	"check": true, "compact": true, "analytics": true, "durability": true,
 	"wal": true, "replication": true,
 	"metrics": true, "healthz": true, "readyz": true, "debug": true,

@@ -112,7 +112,7 @@ func TestClassify(t *testing.T) {
 	}{
 		{http.MethodGet, "/sites/a.example/policies", "a.example", true},
 		{http.MethodPost, "/sites/a.example/policies", "a.example", false},
-		{http.MethodPost, "/sites/a.example/match", "a.example", true},
+		{http.MethodPost, "/sites/a.example/check", "a.example", true},
 		{http.MethodPost, "/sites/a.example/matchall", "a.example", true},
 		{http.MethodPost, "/sites/a.example/check", "a.example", true},
 		{http.MethodGet, "/sites/a.example/check", "a.example", true},
@@ -136,7 +136,7 @@ func TestClassify(t *testing.T) {
 	}
 
 	// Host routing: bare paths resolve the tenant from the Host header.
-	r := httptest.NewRequest(http.MethodPost, "/match", nil)
+	r := httptest.NewRequest(http.MethodPost, "/matchpolicy", nil)
 	r.Host = "A.Example:443"
 	tenant, _, read := classify(r)
 	if tenant != "a.example" || !read {

@@ -95,75 +95,35 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing url or cookie parameter"))
 		return
 	}
-	engineName := q.Get("engine")
-	if engineName == "" {
-		engineName = "sql"
-	}
-	engine, err := core.ParseEngine(engineName)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	var pref, level string
-	switch r.Method {
-	case http.MethodGet:
-		level = q.Get("level")
-		if level == "" {
-			level = "mild"
+	s.serveMatch(w, r, q, faultkit.PointServerMatch, true, func(ctx context.Context, in matchInput) {
+		resp := CheckResponse{Allowed: true, Level: in.level}
+		check := func(target string, run func(context.Context, string, string, core.Engine) (core.CheckResult, error)) (*CheckPartResponse, bool) {
+			res, err := run(ctx, in.pref, target, in.engine)
+			if err != nil {
+				writeMatchError(w, r, err)
+				return nil, false
+			}
+			resp.Allowed = resp.Allowed && res.Allowed
+			resp.Generation = res.Generation
+			if res.CP != "" && w.Header().Get("P3P") == "" {
+				w.Header().Set("P3P", fmt.Sprintf("CP=%q", res.CP))
+			}
+			return toCheckPart(target, res), true
 		}
-		p, ok := resolvePreference(level)
-		if !ok {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("unknown preference level %q", level))
-			return
+		if url != "" {
+			part, ok := check(url, s.site.CheckURICtx)
+			if !ok {
+				return
+			}
+			resp.URL = part
 		}
-		level, pref = p.Level, p.XML
-	case http.MethodPost:
-		body, ok := readBody(w, r)
-		if !ok {
-			return
+		if cookie != "" {
+			part, ok := check(cookie, s.site.CheckCookieCtx)
+			if !ok {
+				return
+			}
+			resp.Cookie = part
 		}
-		if strings.TrimSpace(body) == "" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("missing APPEL preference body"))
-			return
-		}
-		pref = body
-	default:
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
-	if err := faultkit.Inject(faultkit.PointServerMatch); err != nil {
-		writeMatchError(w, r, err)
-		return
-	}
-	ctx, cancel := s.matchContext(r)
-	defer cancel()
-	resp := CheckResponse{Allowed: true, Level: level}
-	check := func(target string, run func(context.Context, string, string, core.Engine) (core.CheckResult, error)) (*CheckPartResponse, bool) {
-		res, err := run(ctx, pref, target, engine)
-		if err != nil {
-			writeMatchError(w, r, err)
-			return nil, false
-		}
-		resp.Allowed = resp.Allowed && res.Allowed
-		resp.Generation = res.Generation
-		if res.CP != "" && w.Header().Get("P3P") == "" {
-			w.Header().Set("P3P", fmt.Sprintf("CP=%q", res.CP))
-		}
-		return toCheckPart(target, res), true
-	}
-	if url != "" {
-		part, ok := check(url, s.site.CheckURICtx)
-		if !ok {
-			return
-		}
-		resp.URL = part
-	}
-	if cookie != "" {
-		part, ok := check(cookie, s.site.CheckCookieCtx)
-		if !ok {
-			return
-		}
-		resp.Cookie = part
-	}
-	writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, resp)
+	})
 }

@@ -274,9 +274,6 @@ func TestClientTransportErrors(t *testing.T) {
 	if _, _, err := dead.Check(CheckRequest{URL: "/x", Level: "mild"}); err == nil {
 		t.Error("Check against dead address: want error")
 	}
-	if _, err := dead.CanVisit("/x"); err == nil {
-		t.Error("CanVisit: want error")
-	}
 	if _, err := dead.Policies(); err == nil {
 		t.Error("Policies: want error")
 	}

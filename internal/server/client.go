@@ -11,13 +11,12 @@ import (
 )
 
 // Client is the thin-client side of the server-centric architecture: it
-// holds the user's APPEL preference and asks the server for decisions; no
-// APPEL engine, policy parser, or base data schema runs on the client.
+// sends the user's APPEL preference (or names a level) and asks the
+// server for decisions; no APPEL engine, policy parser, or base data
+// schema runs on the client.
 type Client struct {
 	base string
 	http *http.Client
-	// Preference is the user's APPEL preference document.
-	Preference string
 	// Engine selects the server-side matching implementation.
 	Engine string
 }
@@ -37,11 +36,6 @@ func (c *Client) do(method, path, body string) (*http.Response, error) {
 		return nil, err
 	}
 	return c.http.Do(req)
-}
-
-// decodeJSON decodes a JSON response body.
-func decodeJSON(r io.Reader, v any) error {
-	return json.NewDecoder(r).Decode(v)
 }
 
 func decodeError(resp *http.Response) error {
@@ -82,25 +76,6 @@ func (c *Client) InstallReferenceFile(metaXML string) error {
 	}
 	resp.Body.Close()
 	return nil
-}
-
-// CanVisit asks the server whether the user's preference permits visiting
-// a URI, returning the full decision.
-func (c *Client) CanVisit(uri string) (MatchResponse, error) {
-	q := url.Values{"uri": {uri}, "engine": {c.Engine}}
-	resp, err := c.do(http.MethodPost, "/match?"+q.Encode(), c.Preference)
-	if err != nil {
-		return MatchResponse{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return MatchResponse{}, decodeError(resp)
-	}
-	defer resp.Body.Close()
-	var out MatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return MatchResponse{}, err
-	}
-	return out, nil
 }
 
 // CheckRequest names one protocol-loop check: a URL and/or a cookie,

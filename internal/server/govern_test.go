@@ -48,7 +48,7 @@ func postMatch(t testing.TB, ts *httptest.Server, path, pref string) (*http.Resp
 }
 
 // TestInjectedRelDBFaultYieldsStructured5xx is the acceptance check: a
-// fault injected into reldb query execution during /match comes back as
+// fault injected into reldb query execution during /matchpolicy comes back as
 // a structured 503 with the fault-injected reason, not a 200 and not an
 // opaque 400.
 func TestInjectedRelDBFaultYieldsStructured5xx(t *testing.T) {
@@ -57,7 +57,7 @@ func TestInjectedRelDBFaultYieldsStructured5xx(t *testing.T) {
 	if err := faultkit.Enable(faultkit.PointRelDBQuery + ":error"); err != nil {
 		t.Fatal(err)
 	}
-	resp, e := postMatch(t, ts, "/match?uri=/books/1&engine=sql", appel.JanePreferenceXML)
+	resp, e := postMatch(t, ts, "/matchpolicy?policy=volga&engine=sql", appel.JanePreferenceXML)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503; body %+v", resp.StatusCode, e)
 	}
@@ -70,7 +70,7 @@ func TestInjectedRelDBFaultYieldsStructured5xx(t *testing.T) {
 
 	// Disarmed, the same request succeeds.
 	faultkit.Reset()
-	resp2, err := http.Post(ts.URL+"/match?uri=/books/1&engine=sql", "application/xml",
+	resp2, err := http.Post(ts.URL+"/matchpolicy?policy=volga&engine=sql", "application/xml",
 		strings.NewReader(appel.JanePreferenceXML))
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestInjectedRelDBFaultYieldsStructured5xx(t *testing.T) {
 // too much" from a timeout.
 func TestBudgetExceededIs503(t *testing.T) {
 	ts := governedServer(t, core.Options{MatchBudget: 1}, Options{})
-	resp, e := postMatch(t, ts, "/match?uri=/books/1&engine=sql", appel.JanePreferenceXML)
+	resp, e := postMatch(t, ts, "/matchpolicy?policy=volga&engine=sql", appel.JanePreferenceXML)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503; body %+v", resp.StatusCode, e)
 	}
@@ -112,7 +112,7 @@ func TestDeadlineExceededIs504(t *testing.T) {
 	if err := faultkit.Enable(faultkit.PointConvFill + ":latency:60ms"); err != nil {
 		t.Fatal(err)
 	}
-	resp, e := postMatch(t, ts, "/match?uri=/books/1&engine=sql", appel.JanePreferenceXML)
+	resp, e := postMatch(t, ts, "/matchpolicy?policy=volga&engine=sql", appel.JanePreferenceXML)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504; body %+v", resp.StatusCode, e)
 	}

@@ -30,8 +30,9 @@ func fetchMetrics(t *testing.T, baseURL string) obs.Snapshot {
 }
 
 // TestMetricsReconcileWithWorkload is the end-to-end metrics invariant:
-// after a known workload — a fixed number of /match requests per engine
-// — the /metrics deltas must reconcile exactly. server.match.requests
+// after a known workload — a fixed number of /matchpolicy requests per
+// engine — the /metrics deltas must reconcile exactly.
+// server.matchpolicy.requests
 // grows by the total requests issued, and each core.match.<engine>.total
 // grows by that engine's share; the sum of per-engine match counts
 // equals the request count. The registry is process-global and other
@@ -40,7 +41,7 @@ func fetchMetrics(t *testing.T, baseURL string) obs.Snapshot {
 func TestMetricsReconcileWithWorkload(t *testing.T) {
 	ts, c := testServer(t)
 	installVolga(t, c)
-	c.Preference = appel.JanePreferenceXML
+	pref := appel.JanePreferenceXML
 
 	engines := []string{"native", "sql", "xtable", "xquery"}
 	const perEngine = 5
@@ -49,8 +50,8 @@ func TestMetricsReconcileWithWorkload(t *testing.T) {
 	for _, engine := range engines {
 		c.Engine = engine
 		for i := 0; i < perEngine; i++ {
-			if _, err := c.CanVisit("/books/42"); err != nil {
-				t.Fatalf("%s match %d: %v", engine, i, err)
+			if _, code := matchPolicy(t, ts.URL, "volga", engine, pref); code != http.StatusOK {
+				t.Fatalf("%s match %d: status %d", engine, i, code)
 			}
 		}
 	}
@@ -58,13 +59,13 @@ func TestMetricsReconcileWithWorkload(t *testing.T) {
 	d := after.Delta(before)
 
 	total := int64(len(engines) * perEngine)
-	// The /metrics fetches themselves hit the mux but not /match, so the
-	// match handler's request counter must grow by exactly the workload.
-	if got := d.Counters["server.match.requests"]; got != total {
-		t.Errorf("server.match.requests delta = %d, want %d", got, total)
+	// The /metrics fetches themselves hit the mux but not /matchpolicy,
+	// so its request counter must grow by exactly the workload.
+	if got := d.Counters["server.matchpolicy.requests"]; got != total {
+		t.Errorf("server.matchpolicy.requests delta = %d, want %d", got, total)
 	}
-	if got := d.Counters["server.match.errors"]; got != 0 {
-		t.Errorf("server.match.errors delta = %d, want 0", got)
+	if got := d.Counters["server.matchpolicy.errors"]; got != 0 {
+		t.Errorf("server.matchpolicy.errors delta = %d, want 0", got)
 	}
 	var engineSum int64
 	for _, engine := range engines {
@@ -82,9 +83,9 @@ func TestMetricsReconcileWithWorkload(t *testing.T) {
 	if engineSum != total {
 		t.Errorf("sum of per-engine match totals = %d, want %d (handler requests)", engineSum, total)
 	}
-	hist := d.Histograms["server.match.latency_us"]
+	hist := d.Histograms["server.matchpolicy.latency_us"]
 	if hist.Count != total {
-		t.Errorf("server.match.latency_us count delta = %d, want %d", hist.Count, total)
+		t.Errorf("server.matchpolicy.latency_us count delta = %d, want %d", hist.Count, total)
 	}
 }
 
@@ -93,9 +94,9 @@ func TestMetricsReconcileWithWorkload(t *testing.T) {
 func TestMetricsEndpointFormats(t *testing.T) {
 	ts, c := testServer(t)
 	installVolga(t, c)
-	c.Preference = appel.JanePreferenceXML
-	if _, err := c.CanVisit("/books/1"); err != nil {
-		t.Fatal(err)
+	pref := appel.JanePreferenceXML
+	if _, code := matchPolicy(t, ts.URL, "volga", "sql", pref); code != http.StatusOK {
+		t.Fatalf("match: status %d", code)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -104,8 +105,8 @@ func TestMetricsEndpointFormats(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(body), "server.match.requests ") {
-		t.Errorf("text /metrics missing server.match.requests:\n%.400s", body)
+	if !strings.Contains(string(body), "server.matchpolicy.requests ") {
+		t.Errorf("text /metrics missing server.matchpolicy.requests:\n%.400s", body)
 	}
 
 	resp, err = http.Get(ts.URL + "/debug/vars")
@@ -120,13 +121,13 @@ func TestMetricsEndpointFormats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/debug/vars JSON: %v", err)
 	}
-	if vars.P3P.Counters["server.match.requests"] < 1 {
+	if vars.P3P.Counters["server.matchpolicy.requests"] < 1 {
 		t.Errorf("/debug/vars p3p.counters missing match requests: %+v", vars.P3P.Counters)
 	}
 }
 
 // TestTraceLogEmitsRequestLines installs a trace writer and checks one
-// JSON line per /match request, with the engine annotation the core
+// JSON line per /matchpolicy request, with the engine annotation the core
 // layer attaches riding on the request root span.
 func TestTraceLogEmitsRequestLines(t *testing.T) {
 	var mu struct {
@@ -139,12 +140,11 @@ func TestTraceLogEmitsRequestLines(t *testing.T) {
 
 	ts, c := testServer(t)
 	installVolga(t, c)
-	c.Preference = appel.JanePreferenceXML
+	pref := appel.JanePreferenceXML
 	c.Engine = "sql"
-	if _, err := c.CanVisit("/books/42"); err != nil {
-		t.Fatal(err)
+	if _, code := matchPolicy(t, ts.URL, "volga", c.Engine, pref); code != http.StatusOK {
+		t.Fatalf("match: status %d", code)
 	}
-	_ = ts
 
 	lines := strings.Split(strings.TrimSpace(mu.buf.String()), "\n")
 	var matchLines []obs.TraceLine
@@ -153,12 +153,12 @@ func TestTraceLogEmitsRequestLines(t *testing.T) {
 		if err := json.Unmarshal([]byte(l), &tl); err != nil {
 			t.Fatalf("trace line is not JSON: %v\n%s", err, l)
 		}
-		if tl.Span == "server.match" {
+		if tl.Span == "server.matchpolicy" {
 			matchLines = append(matchLines, tl)
 		}
 	}
 	if len(matchLines) != 1 {
-		t.Fatalf("want 1 server.match trace line, got %d (%d total lines)", len(matchLines), len(lines))
+		t.Fatalf("want 1 server.matchpolicy trace line, got %d (%d total lines)", len(matchLines), len(lines))
 	}
 	tl := matchLines[0]
 	if tl.Outcome != "ok" || tl.Attrs["status"] != "200" {

@@ -1,14 +1,12 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
-	"time"
 
-	"p3pdb/internal/core"
 	"p3pdb/internal/obs"
 	"p3pdb/internal/registry"
 )
@@ -18,8 +16,8 @@ import (
 // single matching service answers for many sites. Requests reach a
 // tenant two ways:
 //
-//   - Path routing: /sites/{name}/... strips the prefix and delegates
-//     the rest to the tenant's single-site API (/sites/a.example/match,
+//   - Path routing: /sites/{name}/... strips the prefix and serves the
+//     rest from the per-site API (/sites/a.example/check,
 //     /sites/a.example/policies, ...).
 //   - Host routing: any other path resolves the Host header (port
 //     stripped, case-folded) to a tenant, so pointing a site's DNS at
@@ -27,22 +25,15 @@ import (
 //
 // /sites itself is the tenant admin API, and /healthz, /readyz, and
 // /metrics answer for the process rather than any one tenant.
+//
+// It keeps no per-tenant state of its own: each request binds the
+// registry's current site and journal (tenant) and is answered through
+// the shared siteRoutes, so an evicted or deleted tenant is referenced
+// by nothing here once its last request ends.
 type MultiServer struct {
 	reg  *registry.Registry
 	opts Options
 	mux  *http.ServeMux
-
-	// handlers caches one single-site Server per tenant. An entry is
-	// keyed to the *core.Site it wrapped: when the registry hands back a
-	// different instance (the tenant was evicted and reloaded), the
-	// cached handler is rebuilt, so a stale Server can never serve a
-	// dropped tenant's policies.
-	handlers sync.Map // name -> *tenantHandler
-}
-
-type tenantHandler struct {
-	site *core.Site
-	srv  *Server
 }
 
 // NewMulti wraps a registry with default options.
@@ -52,6 +43,7 @@ func NewMulti(reg *registry.Registry) *MultiServer {
 
 // NewMultiWithOptions wraps a registry.
 func NewMultiWithOptions(reg *registry.Registry, opts Options) *MultiServer {
+	obs.PublishExpvar()
 	m := &MultiServer{reg: reg, opts: opts, mux: http.NewServeMux()}
 	m.mux.HandleFunc("/sites", instrument("sites", m.handleSites))
 	m.mux.HandleFunc("/sites/", instrument("site", m.handleSite))
@@ -93,25 +85,17 @@ func writeTenantError(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error(), Reason: "invalid-tenant"})
 }
 
-// tenant resolves a name through the registry and returns the tenant's
-// cached single-site handler, rebuilding it if the site instance changed
-// (eviction + reload also rotates the journal, so a rebuilt handler
-// always logs to the live journal, never an evicted tenant's closed one).
+// tenant binds a request to the named tenant: the registry's current
+// site and journal, read from one entry, so a reloaded tenant always
+// logs to its live journal, never an evicted load's closed one.
 func (m *MultiServer) tenant(name string) (*Server, error) {
 	site, journal, err := m.reg.GetWithJournal(name)
 	if err != nil {
 		return nil, err
 	}
-	if v, ok := m.handlers.Load(name); ok {
-		if h := v.(*tenantHandler); h.site == site {
-			return h.srv, nil
-		}
-	}
 	opts := m.opts
 	opts.Journal = journal
-	h := &tenantHandler{site: site, srv: NewWithOptions(site, opts)}
-	m.handlers.Store(name, h)
-	return h.srv, nil
+	return &Server{site: site, opts: opts}, nil
 }
 
 // handleSites implements the admin listing: GET /sites returns every
@@ -131,8 +115,8 @@ func (m *MultiServer) handleSites(w http.ResponseWriter, r *http.Request) {
 //   - DELETE /sites/{name}: drop the tenant from the registry.
 //   - POST /sites/{name}: re-read the tenant's directory and swap its
 //     policy set atomically (the per-tenant face of SIGHUP).
-//   - /sites/{name}/...: strip the prefix and delegate to the tenant's
-//     single-site API.
+//   - /sites/{name}/...: strip the prefix and serve the rest from the
+//     per-site API, bound to the tenant.
 func (m *MultiServer) handleSite(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/sites/")
 	name, sub, nested := strings.Cut(rest, "/")
@@ -149,56 +133,40 @@ func (m *MultiServer) handleSite(w http.ResponseWriter, r *http.Request) {
 		writeTenantError(w, err)
 		return
 	}
-	r2 := r.Clone(r.Context())
+	r2 := r.Clone(context.WithValue(r.Context(), serverKey{}, srv))
 	r2.URL.Path = "/" + sub
 	if r.URL.RawPath != "" {
 		r2.URL.RawPath = ""
 	}
-	srv.ServeHTTP(w, r2)
+	siteRoutes.ServeHTTP(w, r2)
 }
 
 func (m *MultiServer) handleSiteAdmin(w http.ResponseWriter, r *http.Request, name string) {
+	var err error
+	fail := http.StatusBadRequest // a failure the registry does not type
 	switch r.Method {
 	case http.MethodPut:
-		if _, err := m.reg.Create(name); err != nil {
-			if errors.Is(err, registry.ErrReadOnly) {
-				writeReadOnly(w, m.opts.Leader)
-				return
-			}
-			if errors.Is(err, registry.ErrUnknownSite) {
-				writeTenantError(w, err)
-				return
-			}
-			writeError(w, http.StatusConflict, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]string{"site": name})
+		_, err = m.reg.Create(name)
+		fail = http.StatusConflict
 	case http.MethodDelete:
-		if err := m.reg.Remove(name); err != nil {
-			if errors.Is(err, registry.ErrReadOnly) {
-				writeReadOnly(w, m.opts.Leader)
-				return
-			}
-			writeTenantError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
+		err = m.reg.Remove(name)
 	case http.MethodPost:
-		if err := m.reg.Reload(name); err != nil {
-			if errors.Is(err, registry.ErrReadOnly) {
-				writeReadOnly(w, m.opts.Leader)
-				return
-			}
-			if errors.Is(err, registry.ErrUnknownSite) {
-				writeTenantError(w, err)
-				return
-			}
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
+		err = m.reg.Reload(name)
 	default:
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		return
+	}
+	switch {
+	case errors.Is(err, registry.ErrReadOnly):
+		writeReadOnly(w, m.opts.Leader)
+	case errors.Is(err, registry.ErrUnknownSite), err != nil && r.Method == http.MethodDelete:
+		writeTenantError(w, err)
+	case err != nil:
+		writeError(w, fail, err)
+	case r.Method == http.MethodPut:
+		writeJSON(w, http.StatusCreated, map[string]string{"site": name})
+	default:
+		w.WriteHeader(http.StatusNoContent)
 	}
 }
 
@@ -214,11 +182,4 @@ func (m *MultiServer) handleByHost(w http.ResponseWriter, r *http.Request) {
 
 // HTTPServer wraps the handler in an http.Server with the same timeout
 // posture as the single-site server.
-func (m *MultiServer) HTTPServer(addr string) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           m,
-		ReadHeaderTimeout: defaultReadHeaderTimeout,
-		IdleTimeout:       2 * time.Minute,
-	}
-}
+func (m *MultiServer) HTTPServer(addr string) *http.Server { return httpServer(addr, m) }

@@ -7,10 +7,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"p3pdb/internal/appel"
+	"p3pdb/internal/core"
 	"p3pdb/internal/p3p"
 	"p3pdb/internal/registry"
 )
@@ -70,7 +74,7 @@ func TestMultiPathRouting(t *testing.T) {
 		t.Fatalf("policies via prefix = %v", names)
 	}
 
-	resp, err = http.Post(ts.URL+"/sites/a.example/match?uri=/books/1&engine=sql",
+	resp, err = http.Post(ts.URL+"/sites/a.example/check?url=/books/1&engine=sql",
 		"application/xml", strings.NewReader(appel.JanePreferenceXML))
 	if err != nil {
 		t.Fatal(err)
@@ -80,9 +84,9 @@ func TestMultiPathRouting(t *testing.T) {
 		resp.Body.Close()
 		t.Fatalf("match via prefix: %d %s", resp.StatusCode, body)
 	}
-	var d MatchResponse
+	var d CheckResponse
 	decodeBody(t, resp, &d)
-	if d.Behavior != "request" || d.PolicyName != "volga" {
+	if !d.Allowed || d.URL == nil || d.URL.PolicyName != "volga" {
 		t.Errorf("decision = %+v", d)
 	}
 }
@@ -91,7 +95,7 @@ func TestMultiHostRouting(t *testing.T) {
 	ts, _, _ := multiFixture(t)
 
 	req, err := http.NewRequest(http.MethodPost,
-		ts.URL+"/match?uri=/books/1&engine=sql", strings.NewReader(appel.JanePreferenceXML))
+		ts.URL+"/check?url=/books/1&engine=sql", strings.NewReader(appel.JanePreferenceXML))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +110,9 @@ func TestMultiHostRouting(t *testing.T) {
 		resp.Body.Close()
 		t.Fatalf("host-routed match: %d %s", resp.StatusCode, body)
 	}
-	var d MatchResponse
+	var d CheckResponse
 	decodeBody(t, resp, &d)
-	if d.PolicyName != "volga" {
+	if d.URL == nil || d.URL.PolicyName != "volga" {
 		t.Errorf("decision = %+v", d)
 	}
 }
@@ -332,4 +336,77 @@ func TestMultiTenantIsolation(t *testing.T) {
 	if len(names) != 0 {
 		t.Errorf("tenant b = %v, want empty", names)
 	}
+}
+
+// TestMultiEvictedTenantIsCollectable: once the registry lets a tenant
+// go — evicted past MaxSites, or deleted — nothing in the HTTP layer may
+// keep its site alive, or -max-sites would bound residency but not
+// memory.
+func TestMultiEvictedTenantIsCollectable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		drop func(t *testing.T, base string)
+	}{
+		{"evicted", func(t *testing.T, base string) { get(t, base+"/sites/b.example/check?url=/books/1") }},
+		{"deleted", func(t *testing.T, base string) {
+			req, _ := http.NewRequest(http.MethodDelete, base+"/sites/a.example", nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("delete: %d", resp.StatusCode)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			writeTenantDir(t, root, "a.example")
+			writeTenantDir(t, root, "b.example")
+			reg, err := registry.New(registry.Options{Dir: root, MaxSites: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(NewMulti(reg))
+			t.Cleanup(ts.Close)
+
+			get(t, ts.URL+"/sites/a.example/check?url=/books/1")
+			freed := watchSite(t, reg, "a.example")
+			tc.drop(t, ts.URL)
+			for i := 0; i < 50 && !freed.Load(); i++ {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			if !freed.Load() {
+				t.Fatal("the dropped tenant's site is still reachable after 50 GC cycles")
+			}
+		})
+	}
+}
+
+// get issues a GET that must answer 200.
+func get(t *testing.T, url string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d", url, resp.StatusCode)
+	}
+}
+
+// watchSite sets a finalizer on a resident tenant's site and reports
+// when it has run. The site pointer does not outlive the call.
+func watchSite(t *testing.T, reg *registry.Registry, name string) *atomic.Bool {
+	t.Helper()
+	site, ok := reg.Lookup(name)
+	if !ok {
+		t.Fatalf("%s is not resident", name)
+	}
+	freed := new(atomic.Bool)
+	runtime.SetFinalizer(site, func(*core.Site) { freed.Store(true) })
+	return freed
 }

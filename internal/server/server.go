@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -57,10 +58,13 @@ type Options struct {
 	Leader string
 }
 
-// Server handles the HTTP API for one site.
+// Server is one site's binding to the HTTP API: the site, its journal
+// and the governance options. It owns no routes. Every site is served
+// through the one siteRoutes table, whose handlers find their Server on
+// the request context, so a MultiServer binds a tenant per request
+// without building anything else.
 type Server struct {
 	site *core.Site
-	mux  *http.ServeMux
 	opts Options
 }
 
@@ -72,31 +76,44 @@ func New(site *core.Site) *Server {
 // NewWithOptions wraps a site.
 func NewWithOptions(site *core.Site, opts Options) *Server {
 	obs.PublishExpvar()
-	s := &Server{site: site, mux: http.NewServeMux(), opts: opts}
-	s.mux.HandleFunc("/policies", instrument("policies", s.handlePolicies))
-	s.mux.HandleFunc("/policies/", instrument("policy", s.handlePolicyByName))
-	s.mux.HandleFunc("/compact/", instrument("compact", s.handleCompact))
-	s.mux.HandleFunc("/reference", instrument("reference", s.handleReference))
-	s.mux.HandleFunc("/check", instrument("check", s.handleCheck))
-	s.mux.HandleFunc("/match", instrument("match", s.handleMatch))
-	s.mux.HandleFunc("/matchpolicy", instrument("matchpolicy", s.handleMatchPolicy))
-	s.mux.HandleFunc("/matchcookie", instrument("matchcookie", s.handleMatchCookie))
-	s.mux.HandleFunc("/matchall", instrument("matchall", s.handleMatchAll))
-	s.mux.HandleFunc("/analytics", instrument("analytics", s.handleAnalytics))
-	s.mux.HandleFunc("/prefs", instrument("prefs", s.handlePrefs))
-	if opts.Journal != nil {
-		s.mux.HandleFunc("/durability", instrument("durability", s.handleDurability))
-		s.mux.HandleFunc("/wal", instrument("wal", s.handleWAL))
+	return &Server{site: site, opts: opts}
+}
+
+// serverKey is the context key carrying a request's *Server.
+type serverKey struct{}
+
+// siteRoutes is the per-site API, registered once per process with its
+// instruments resolved once. A single-site server serves it at the
+// root; a MultiServer serves it under /sites/{name}/ and by Host.
+var siteRoutes = newSiteRoutes()
+
+func newSiteRoutes() *http.ServeMux {
+	mux := http.NewServeMux()
+	route := func(path, name string, h func(*Server, http.ResponseWriter, *http.Request)) {
+		mux.HandleFunc(path, instrument(name, func(w http.ResponseWriter, r *http.Request) {
+			h(r.Context().Value(serverKey{}).(*Server), w, r)
+		}))
 	}
-	s.mux.Handle("/metrics", obs.Handler(obs.Default))
-	s.mux.Handle("/debug/vars", expvar.Handler())
-	s.mux.HandleFunc("/healthz", handleHealthz)
-	// A single-site server has no lazy loading: once constructed it is
-	// ready, so readiness degenerates to liveness.
-	s.mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+	route("/policies", "policies", (*Server).handlePolicies)
+	route("/policies/", "policy", (*Server).handlePolicyByName)
+	route("/compact/", "compact", (*Server).handleCompact)
+	route("/reference", "reference", (*Server).handleReference)
+	route("/check", "check", (*Server).handleCheck)
+	route("/matchpolicy", "matchpolicy", (*Server).handleMatchPolicy)
+	route("/matchall", "matchall", (*Server).handleMatchAll)
+	route("/analytics", "analytics", (*Server).handleAnalytics)
+	route("/prefs", "prefs", (*Server).handlePrefs)
+	route("/durability", "durability", (*Server).handleDurability)
+	route("/wal", "wal", (*Server).handleWAL)
+	mux.Handle("/metrics", obs.Handler(obs.Default))
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/healthz", handleHealthz)
+	// A site has no lazy loading: once bound it is ready, so readiness
+	// degenerates to liveness.
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
-	return s
+	return mux
 }
 
 // statusWriter captures the response status so the instrumentation can
@@ -164,21 +181,24 @@ func instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler: it binds the request to this site
+// and dispatches it through siteRoutes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+	siteRoutes.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), serverKey{}, s)))
 }
 
-// HTTPServer wraps the handler in an http.Server with sane timeouts —
-// the seed served with a bare ListenAndServe, which never times out
-// header reads and so holds a goroutine per stalled connection forever.
-// Write timeouts are deliberately left to the per-request deadline
-// (Options.RequestTimeout) so long-but-governed matches are not cut off
-// mid-response.
-func (s *Server) HTTPServer(addr string) *http.Server {
+// HTTPServer wraps the handler in an http.Server with sane timeouts.
+func (s *Server) HTTPServer(addr string) *http.Server { return httpServer(addr, s) }
+
+// httpServer is the listener both server types deploy. The seed served
+// with a bare ListenAndServe, which never times out header reads and so
+// holds a goroutine per stalled connection forever. Write timeouts are
+// deliberately left to the per-request deadline (Options.RequestTimeout)
+// so long-but-governed matches are not cut off mid-response.
+func httpServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,
-		Handler:           s,
+		Handler:           h,
 		ReadHeaderTimeout: defaultReadHeaderTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}
@@ -259,10 +279,18 @@ func writeMatchError(w http.ResponseWriter, r *http.Request, err error) {
 	writeJSON(w, status, apiError{Error: err.Error(), Reason: reason})
 }
 
+// readBody reads a request body of at most maxBodyBytes. Only an
+// oversized body is a 413; a body that fails or ends early is the
+// client's malformed request, a 400.
 func readBody(w http.ResponseWriter, r *http.Request) (string, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
 		return "", false
 	}
 	return string(body), true
@@ -505,59 +533,27 @@ func toResponse(d core.Decision) MatchResponse {
 	}
 }
 
-// handleMatch implements POST /match?uri=/path&engine=sql with the APPEL
-// preference as the body: the thin-client entry point.
-func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
-	uri := r.URL.Query().Get("uri")
-	if uri == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing uri parameter"))
-		return
-	}
-	engineName := r.URL.Query().Get("engine")
-	if engineName == "" {
-		engineName = "sql"
-	}
-	engine, err := core.ParseEngine(engineName)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	pref, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	if err := faultkit.Inject(faultkit.PointServerMatch); err != nil {
-		writeMatchError(w, r, err)
-		return
-	}
-	ctx, cancel := s.matchContext(r)
-	defer cancel()
-	start := time.Now()
-	d, err := s.site.MatchURICtx(ctx, pref, uri, engine)
-	if err != nil {
-		writeMatchError(w, r, err)
-		return
-	}
-	resp := toResponse(d)
-	w.Header().Set("X-Match-Duration", time.Since(start).String())
-	setServerTiming(w, d)
-	writeJSON(w, http.StatusOK, resp)
+// matchInput is what every matching door reads before it runs.
+type matchInput struct {
+	engine core.Engine
+	pref   string
+	// level is the resolved preference level of a GET /check; empty when
+	// the preference came as the body.
+	level string
 }
 
-// matchWith factors the three matching endpoints: resolve the engine,
-// read the preference body, run the resolver-specific match under the
-// request's (possibly deadline-bound) context.
-func (s *Server) matchWith(w http.ResponseWriter, r *http.Request,
-	match func(ctx context.Context, pref string, engine core.Engine) (core.Decision, error)) {
-	if r.Method != http.MethodPost {
+// serveMatch is the front half every matching door shares: the method
+// check, the engine (default sql), the preference — the APPEL body of a
+// POST or, where byLevel allows a GET, a named level — the door's fault
+// point, and the request's (possibly deadline-bound) context. It calls
+// run only when all of them succeeded; otherwise it has answered.
+func (s *Server) serveMatch(w http.ResponseWriter, r *http.Request, q url.Values, point string, byLevel bool,
+	run func(ctx context.Context, in matchInput)) {
+	if r.Method != http.MethodPost && (r.Method != http.MethodGet || !byLevel) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return
 	}
-	engineName := r.URL.Query().Get("engine")
+	engineName := q.Get("engine")
 	if engineName == "" {
 		engineName = "sql"
 	}
@@ -566,50 +562,57 @@ func (s *Server) matchWith(w http.ResponseWriter, r *http.Request,
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	pref, ok := readBody(w, r)
-	if !ok {
-		return
+	in := matchInput{engine: engine}
+	if r.Method == http.MethodGet {
+		level := q.Get("level")
+		if level == "" {
+			level = "mild"
+		}
+		p, ok := resolvePreference(level)
+		if !ok {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("unknown preference level %q", level))
+			return
+		}
+		in.level, in.pref = p.Level, p.XML
+	} else {
+		body, ok := readBody(w, r)
+		if !ok {
+			return
+		}
+		if strings.TrimSpace(body) == "" {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("missing APPEL preference body"))
+			return
+		}
+		in.pref = body
 	}
-	if err := faultkit.Inject(faultkit.PointServerMatch); err != nil {
+	if err := faultkit.Inject(point); err != nil {
 		writeMatchError(w, r, err)
 		return
 	}
 	ctx, cancel := s.matchContext(r)
 	defer cancel()
-	d, err := match(ctx, pref, engine)
-	if err != nil {
-		writeMatchError(w, r, err)
-		return
-	}
-	setServerTiming(w, d)
-	writeJSON(w, http.StatusOK, toResponse(d))
+	run(ctx, in)
 }
 
 // handleMatchPolicy implements POST /matchpolicy?policy=name&engine=: the
 // hybrid architecture's entry point — the client resolved the reference
-// file itself and names the policy directly (Section 4.2).
+// file itself (GET /reference) and names the policy directly (Section
+// 4.2). It always runs the engine and answers the full decision.
 func (s *Server) handleMatchPolicy(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("policy")
+	q := r.URL.Query()
+	name := q.Get("policy")
 	if name == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing policy parameter"))
 		return
 	}
-	s.matchWith(w, r, func(ctx context.Context, pref string, engine core.Engine) (core.Decision, error) {
-		return s.site.MatchPolicyCtx(ctx, pref, name, engine)
-	})
-}
-
-// handleMatchCookie implements POST /matchcookie?cookie=name&engine=: the
-// server-centric counterpart of IE6's cookie checking, resolved through
-// the reference file's COOKIE-INCLUDE patterns.
-func (s *Server) handleMatchCookie(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("cookie")
-	if name == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing cookie parameter"))
-		return
-	}
-	s.matchWith(w, r, func(ctx context.Context, pref string, engine core.Engine) (core.Decision, error) {
-		return s.site.MatchCookieCtx(ctx, pref, name, engine)
+	s.serveMatch(w, r, q, faultkit.PointServerMatch, false, func(ctx context.Context, in matchInput) {
+		d, err := s.site.MatchPolicyCtx(ctx, in.pref, name, in.engine)
+		if err != nil {
+			writeMatchError(w, r, err)
+			return
+		}
+		setServerTiming(w, d)
+		writeJSON(w, http.StatusOK, toResponse(d))
 	})
 }
 
@@ -628,51 +631,30 @@ type MatchAllResponse struct {
 // path in a single request. Site owners use it to preview which policies
 // a preference would block.
 func (s *Server) handleMatchAll(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
-	engineName := r.URL.Query().Get("engine")
-	if engineName == "" {
-		engineName = "sql"
-	}
-	engine, err := core.ParseEngine(engineName)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	pref, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	if err := faultkit.Inject(faultkit.PointServerLoadAll); err != nil {
-		writeMatchError(w, r, err)
-		return
-	}
-	ctx, cancel := s.matchContext(r)
-	defer cancel()
-	start := time.Now()
-	decisions, err := s.site.MatchAllCtx(ctx, pref, engine)
-	if err != nil && len(decisions) == 0 {
-		// Everything failed: report the dominant cause. The full
-		// per-policy breakdown rides along in errors.
-		status, reason := classifyMatchError(err)
-		if reason != "" {
-			w.Header().Set("Server-Timing", fmt.Sprintf("aborted;desc=%q", reason))
-			obs.SpanFromContext(r.Context()).SetOutcome(reason)
+	s.serveMatch(w, r, r.URL.Query(), faultkit.PointServerLoadAll, false, func(ctx context.Context, in matchInput) {
+		start := time.Now()
+		decisions, err := s.site.MatchAllCtx(ctx, in.pref, in.engine)
+		if err != nil && len(decisions) == 0 {
+			// Everything failed: report the dominant cause. The full
+			// per-policy breakdown rides along in errors.
+			status, reason := classifyMatchError(err)
+			if reason != "" {
+				w.Header().Set("Server-Timing", fmt.Sprintf("aborted;desc=%q", reason))
+				obs.SpanFromContext(r.Context()).SetOutcome(reason)
+			}
+			writeJSON(w, status, apiError{Error: err.Error(), Reason: reason, Errors: splitJoined(err)})
+			return
 		}
-		writeJSON(w, status, apiError{Error: err.Error(), Reason: reason, Errors: splitJoined(err)})
-		return
-	}
-	resp := MatchAllResponse{Decisions: make([]MatchResponse, len(decisions))}
-	for i, d := range decisions {
-		resp.Decisions[i] = toResponse(d)
-	}
-	if err != nil {
-		resp.Errors = splitJoined(err)
-	}
-	w.Header().Set("Server-Timing", fmt.Sprintf("total;dur=%.3f", float64(time.Since(start).Microseconds())/1000))
-	writeJSON(w, http.StatusOK, resp)
+		resp := MatchAllResponse{Decisions: make([]MatchResponse, len(decisions))}
+		for i, d := range decisions {
+			resp.Decisions[i] = toResponse(d)
+		}
+		if err != nil {
+			resp.Errors = splitJoined(err)
+		}
+		w.Header().Set("Server-Timing", fmt.Sprintf("total;dur=%.3f", float64(time.Since(start).Microseconds())/1000))
+		writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // splitJoined flattens an errors.Join result into its parts' messages.
@@ -692,8 +674,13 @@ func splitJoined(err error) []string {
 
 // handleDurability implements GET /durability: the tenant's durable
 // position — LSN, log bytes, last checkpoint — as JSON. In multi-tenant
-// mode it is reached as GET /sites/{name}/durability.
+// mode it is reached as GET /sites/{name}/durability. A site without a
+// journal has no such route: it answers the mux's own 404.
 func (s *Server) handleDurability(w http.ResponseWriter, r *http.Request) {
+	if s.opts.Journal == nil {
+		http.NotFound(w, r)
+		return
+	}
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return

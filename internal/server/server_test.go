@@ -1,8 +1,11 @@
 package server
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -37,17 +40,40 @@ func installVolga(t testing.TB, c *Client) {
 	}
 }
 
+// matchPolicy POSTs a preference to /matchpolicy, the door that always
+// runs the engine, and decodes the full decision of a 200.
+func matchPolicy(t testing.TB, base, policy, engine, pref string) (MatchResponse, int) {
+	t.Helper()
+	q := url.Values{"policy": {policy}, "engine": {engine}}
+	resp, err := http.Post(base+"/matchpolicy?"+q.Encode(), "application/xml", strings.NewReader(pref))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out MatchResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out, resp.StatusCode
+}
+
 func TestEndToEndMatch(t *testing.T) {
-	_, c := testServer(t)
+	ts, c := testServer(t)
 	installVolga(t, c)
-	c.Preference = appel.JanePreferenceXML
+	pref := appel.JanePreferenceXML
 	for _, engine := range []string{"native", "sql", "xtable", "xquery"} {
 		c.Engine = engine
-		d, err := c.CanVisit("/books/42")
+		res, _, err := c.Check(CheckRequest{URL: "/books/42", Preference: pref})
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
-		if d.Behavior != "request" || d.PolicyName != "volga" {
+		if !res.Allowed || res.URL.PolicyName != "volga" {
+			t.Errorf("%s: %+v", engine, res.URL)
+		}
+		d, code := matchPolicy(t, ts.URL, res.URL.PolicyName, engine, pref)
+		if code != http.StatusOK || d.Behavior != "request" || d.PolicyName != "volga" {
 			t.Errorf("%s: %+v", engine, d)
 		}
 		if d.Engine != engine {
@@ -75,18 +101,18 @@ func TestPoliciesListAndFetch(t *testing.T) {
 func TestBlockedDecisionAndAnalytics(t *testing.T) {
 	_, c := testServer(t)
 	installVolga(t, c)
-	c.Preference = `<appel:RULESET xmlns:appel="http://www.w3.org/2002/01/APPELv1">
+	pref := `<appel:RULESET xmlns:appel="http://www.w3.org/2002/01/APPELv1">
 	  <appel:RULE behavior="block" description="no contact purpose">
 	    <POLICY><STATEMENT><PURPOSE appel:connective="or"><contact required="*"/></PURPOSE></STATEMENT></POLICY>
 	  </appel:RULE>
 	  <appel:OTHERWISE behavior="request"/>
 	</appel:RULESET>`
-	d, err := c.CanVisit("/checkout")
+	res, _, err := c.Check(CheckRequest{URL: "/checkout", Preference: pref})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Behavior != "block" || d.RuleDescription != "no contact purpose" {
-		t.Errorf("decision: %+v", d)
+	if d := res.URL.Decision; res.Allowed || d == nil || d.Behavior != "block" || d.RuleDescription != "no contact purpose" {
+		t.Errorf("decision: %+v", res.URL)
 	}
 	rows, err := c.Analytics()
 	if err != nil {
@@ -100,8 +126,8 @@ func TestBlockedDecisionAndAnalytics(t *testing.T) {
 func TestHTTPErrors(t *testing.T) {
 	ts, c := testServer(t)
 	// Match without a reference file.
-	c.Preference = appel.JanePreferenceXML
-	if _, err := c.CanVisit("/x"); err == nil {
+	pref := appel.JanePreferenceXML
+	if _, _, err := c.Check(CheckRequest{URL: "/x", Preference: pref}); err == nil {
 		t.Error("match without reference file should fail")
 	}
 	// Bad policy document.
@@ -109,7 +135,7 @@ func TestHTTPErrors(t *testing.T) {
 		t.Error("bad policy should fail")
 	}
 	// Bad engine name.
-	resp, err := http.Post(ts.URL+"/match?uri=/x&engine=warp", "application/xml", strings.NewReader("x"))
+	resp, err := http.Post(ts.URL+"/check?url=/x&engine=warp", "application/xml", strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,23 +143,23 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad engine: status %d", resp.StatusCode)
 	}
-	// Missing uri parameter.
-	resp, err = http.Post(ts.URL+"/match", "application/xml", strings.NewReader("x"))
+	// Missing url parameter.
+	resp, err = http.Post(ts.URL+"/check", "application/xml", strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("missing uri: status %d", resp.StatusCode)
+		t.Errorf("missing url: status %d", resp.StatusCode)
 	}
 	// Wrong method.
-	resp, err = http.Get(ts.URL + "/match")
+	resp, err = http.Get(ts.URL + "/matchall")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /match: status %d", resp.StatusCode)
+		t.Errorf("GET /matchall: status %d", resp.StatusCode)
 	}
 	// Health check.
 	resp, err = http.Get(ts.URL + "/healthz")
@@ -168,35 +194,35 @@ func TestDeletePolicy(t *testing.T) {
 }
 
 func TestTooComplexPreferenceOverHTTP(t *testing.T) {
-	_, c := testServer(t)
+	ts, c := testServer(t)
 	installVolga(t, c)
 	medium, ok := workload.PreferenceByLevel("Medium")
 	if !ok {
 		t.Fatal("no Medium preference")
 	}
-	c.Preference = medium.XML
+	pref := medium.XML
 	c.Engine = "xtable"
-	_, err := c.CanVisit("/x")
+	_, _, err := c.Check(CheckRequest{URL: "/x", Preference: pref})
 	if err == nil || !strings.Contains(err.Error(), "422") {
 		t.Errorf("expected 422 for too-complex preference, got %v", err)
 	}
 	// The SQL engine handles the same preference.
 	c.Engine = "sql"
-	if _, err := c.CanVisit("/x"); err != nil {
+	if _, _, err := c.Check(CheckRequest{URL: "/x", Preference: pref}); err != nil {
 		t.Errorf("sql engine should handle Medium: %v", err)
 	}
 	// The SQL engine has the same statement limits; they are checked on
 	// the statement it builds, and a body that outgrows them is the same
-	// 422 on /match and on a /check that falls back to the engine.
-	c.Preference = nestedPreference(9)
-	if _, err := c.CanVisit("/x"); err == nil || !strings.Contains(err.Error(), "422") {
-		t.Errorf("/match: expected 422 for a rule beyond the SQL engine's block limit, got %v", err)
+	// 422 on /matchpolicy and on a /check that falls back to the engine.
+	pref = nestedPreference(9)
+	if _, code := matchPolicy(t, ts.URL, "volga", "sql", pref); code != http.StatusUnprocessableEntity {
+		t.Errorf("/matchpolicy: expected 422 for a rule beyond the SQL engine's block limit, got %d", code)
 	}
-	if _, _, err := c.Check(CheckRequest{URL: "/x", Preference: c.Preference}); err == nil || !strings.Contains(err.Error(), "422") {
+	if _, _, err := c.Check(CheckRequest{URL: "/x", Preference: pref}); err == nil || !strings.Contains(err.Error(), "422") {
 		t.Errorf("/check: expected 422 for a rule beyond the SQL engine's block limit, got %v", err)
 	}
-	c.Preference = nestedPreference(8)
-	if _, err := c.CanVisit("/x"); err != nil {
+	pref = nestedPreference(8)
+	if _, _, err := c.Check(CheckRequest{URL: "/x", Preference: pref}); err != nil {
 		t.Errorf("a rule just under the block limit should run: %v", err)
 	}
 }
@@ -214,4 +240,34 @@ func nestedPreference(statements int) string {
 			`<current/><admin/><develop/><contact/><telemarketing/><individual-decision/>`+
 			`</PURPOSE></STATEMENT>`, statements) +
 		`</POLICY></appel:RULE><appel:OTHERWISE behavior="request"/></appel:RULESET>`
+}
+
+// failingBody is a request body that breaks off mid-read.
+type failingBody struct{}
+
+func (failingBody) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }
+
+// TestReadBodyStatus: a body that fails to read is the client's
+// malformed request, a 400; only a body past maxBodyBytes is a 413.
+func TestReadBodyStatus(t *testing.T) {
+	site, err := core.NewSite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(site)
+	for _, path := range []string{"/check?url=/x", "/policies"} {
+		for _, c := range []struct {
+			body io.Reader
+			want int
+		}{
+			{failingBody{}, http.StatusBadRequest},
+			{strings.NewReader(strings.Repeat("x", maxBodyBytes+1)), http.StatusRequestEntityTooLarge},
+		} {
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, c.body))
+			if w.Code != c.want {
+				t.Errorf("POST %s with %T: status %d, want %d (%s)", path, c.body, w.Code, c.want, w.Body)
+			}
+		}
+	}
 }

@@ -37,7 +37,12 @@ var (
 // tenant's current LSN — the number followers report lag against. With
 // wait > 0 and nothing to ship, the request long-polls until a record
 // lands or the wait expires (returning an empty, headers-only stream).
+// A site without a journal has no log: it answers the mux's own 404.
 func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
+	if s.opts.Journal == nil {
+		http.NotFound(w, r)
+		return
+	}
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return
