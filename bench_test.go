@@ -7,7 +7,8 @@
 //	§6.3.1      BenchmarkShredPolicy
 //	Figure 20   BenchmarkMatch/<engine>
 //	Figure 21   BenchmarkMatchPerLevel/<level>/<engine>
-//	§6.3.2      BenchmarkAugmentation/<mode> (the profiling claim)
+//	§6.3.2      BenchmarkAugmentation/<mode> (the profiling claim),
+//	            BenchmarkXTableFirstUse/<cold|warm> (the XTABLE cold cost)
 //	Ablations   BenchmarkSchema/<variant>, BenchmarkIndexes/<variant>,
 //	            BenchmarkConversion/<variant>
 package bench
@@ -64,7 +65,8 @@ func BenchmarkGenerateWorkload(b *testing.B) {
 }
 
 // BenchmarkShredPolicy is the §6.3.1 shredding experiment: installing one
-// policy into every backend (both relational schemas plus the XML store).
+// policy into the optimized schema and the XML store. The generic schema
+// is built on first XTABLE use; BenchmarkXTableFirstUse prices that.
 func BenchmarkShredPolicy(b *testing.B) {
 	d := workload.Generate(benchSeed)
 	b.ReportAllocs()
@@ -81,6 +83,48 @@ func BenchmarkShredPolicy(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkXTableFirstUse is the §6.3.2 cold/warm split of the XTABLE
+// engine on the 29-policy corpus. A site builds the generic schema on
+// the first XTABLE match of each snapshot generation: cold is that match
+// (build, translation, query), warm a later match of the same generation.
+// The site's caches are off, so cold minus warm is the build.
+func BenchmarkXTableFirstUse(b *testing.B) {
+	d := workload.Generate(benchSeed)
+	s, err := core.NewSiteWithOptions(core.Options{DisableConversionCache: true, DisableDecisionCache: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pref, _ := workload.PreferenceByLevel("High")
+	match := func(b *testing.B) {
+		if _, err := s.MatchPolicy(pref.XML, d.Policies[0].Name, core.EngineXTable); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// A replace reassigns every policy id, so each one publishes a
+	// generation whose generic schema is not built yet.
+	replace := func(b *testing.B) {
+		if err := s.ReplacePolicies(d.Policies, d.RefFile); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			replace(b)
+			b.StartTimer()
+			match(b)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		replace(b)
+		match(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			match(b)
+		}
+	})
 }
 
 // matchAll matches one preference level against every policy in the

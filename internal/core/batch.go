@@ -170,7 +170,7 @@ func (s *Site) ApplyBatch(muts []Mutation) error {
 			return err
 		}
 	}
-	next, err := s.materialize(d)
+	next, err := s.materialize(prev, d)
 	if err != nil {
 		return err
 	}

@@ -331,7 +331,7 @@ func (s *Site) xqueryConversion(c *prefConv) ([]*xquery.Query, error) {
 // through the XML-view layer for one policy, through the cache. A cached
 // entry is only served when its embedded policy id still matches the
 // snapshot's — re-installation under a new id invalidates it in place.
-func (s *Site) xtableConversion(st *siteState, c *prefConv, policyName string) ([]reldb.Statement, error) {
+func (s *Site) xtableConversion(st *siteState, genDB *reldb.DB, c *prefConv, policyName string) ([]reldb.Statement, error) {
 	k := convKey{pref: c.xml, policy: policyName}
 	policyID := st.ids[policyName]
 	if v, ok := s.conv.peek(k); ok {
@@ -356,7 +356,7 @@ func (s *Site) xtableConversion(st *siteState, c *prefConv, policyName string) (
 		if err != nil {
 			return nil, err
 		}
-		stmt, err := st.genDB.Prepare(q.SQL)
+		stmt, err := genDB.Prepare(q.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("core: preparing rule %d: %w", i+1, err)
 		}

@@ -272,7 +272,7 @@ func NewSiteWithOptions(opts Options) (*Site, error) {
 	if !opts.DisableDecisionCache {
 		s.decisions = decision.New(opts.DecisionCacheSize)
 	}
-	st, err := s.materialize(newDraft())
+	st, err := s.materialize(nil, newDraft())
 	if err != nil {
 		return nil, err
 	}
@@ -464,9 +464,6 @@ func (s *Site) RestoreState(exp StateExport) error {
 // later policy writes publish a new snapshot with a new database rather
 // than mutating this one.
 func (s *Site) DB() *reldb.DB { return s.state.Load().optDB }
-
-// GenericDB exposes the generic-schema database of the current snapshot.
-func (s *Site) GenericDB() *reldb.DB { return s.state.Load().genDB }
 
 func policyDoc(name string) string { return "policy:" + name }
 
@@ -767,8 +764,9 @@ func (s *Site) evaluate(ctx context.Context, st *siteState, conv *prefConv, poli
 		db, params = st.optDB, []reldb.Value{reldb.Int(int64(st.ids[policy]))}
 		stmts, err = s.sqlConversion(conv)
 	case EngineXTable:
-		db = st.genDB
-		stmts, err = s.xtableConversion(st, conv, policy)
+		if db, err = s.genericDB(st, policy); err == nil {
+			stmts, err = s.xtableConversion(st, db, conv, policy)
+		}
 	case EngineXQuery:
 		// The per-policy resolver was prebuilt at snapshot
 		// materialization, so binding the policy is a map lookup.

@@ -69,7 +69,7 @@ func TestCompactAndReferenceAccessors(t *testing.T) {
 	if _, err := empty.ReferenceFileXML(); err == nil {
 		t.Error("no reference file should error")
 	}
-	if s.DB() == nil || s.GenericDB() == nil {
+	if s.DB() == nil {
 		t.Error("database accessors returned nil")
 	}
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"p3pdb/internal/compact"
+	"p3pdb/internal/obs"
 	"p3pdb/internal/p3p"
 	"p3pdb/internal/p3p/basedata"
 	"p3pdb/internal/prefindex"
@@ -24,6 +27,11 @@ import (
 // touching the cache.
 var stateGen atomic.Uint64
 
+var (
+	obsGenericBuilds = obs.GetCounter("core.generic.builds")
+	obsOptFragments  = obs.GetCounter("core.materialize.fragments")
+)
+
 // siteState is the immutable interior of a Site: every backend the
 // matching engines read, bundled into one snapshot. A state is built
 // aside, fully populated, and then published through the Site's atomic
@@ -36,8 +44,6 @@ var stateGen atomic.Uint64
 type siteState struct {
 	optDB    *reldb.DB
 	optStore *shred.OptimizedStore
-	genDB    *reldb.DB
-	genStore *shred.GenericStore
 	refStore *reffile.Store
 	xml      *xmlstore.Store
 
@@ -54,6 +60,9 @@ type siteState struct {
 	// names is the installed policy names, sorted: the order MatchAll
 	// and PolicyNames answer in, computed once per snapshot.
 	names []string
+	// generic holds each policy's generic-schema partition (genericPart),
+	// carried from snapshot to snapshot with the policy's artifacts.
+	generic map[string]*genericPart
 	// nextID continues across snapshots and removals, so a policy id is
 	// never reused: a stale id-bound artifact can miss, never alias.
 	nextID int
@@ -113,6 +122,43 @@ func (st *siteState) policyForCookie(cookieName string) (string, error) {
 	return name, nil
 }
 
+// genericPart is one policy's generic-schema database, the store only
+// the XTABLE engine reads; XTABLE's SQL names its policy's id, so a
+// match reads no other policy's rows. It is built on the policy's first
+// XTABLE use, not at publish — the paper's cold/warm split (§6.3.2) —
+// and every snapshot holding the policy under the same id shares it. A
+// failed build is not remembered: the next use retries it.
+type genericPart struct {
+	mu sync.Mutex
+	db atomic.Pointer[reldb.DB]
+}
+
+// genericDB returns policy's generic-schema database in st, shredding
+// the policy into it under its id on first use, then freezing it.
+func (s *Site) genericDB(st *siteState, policy string) (*reldb.DB, error) {
+	g := st.generic[policy]
+	if db := g.db.Load(); db != nil {
+		return db, nil
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if db := g.db.Load(); db != nil {
+		return db, nil
+	}
+	db := reldb.NewWithOptions(s.opts.DB)
+	store, err := shred.NewGeneric(db)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := store.InstallPolicyAt(st.policies[policy], st.ids[policy]); err != nil {
+		return nil, err
+	}
+	db.Freeze()
+	obsGenericBuilds.Inc()
+	g.db.Store(db)
+	return db, nil
+}
+
 // compactSummary is one policy's compact-policy material: the CP header
 // value, the augmented evidence document derived from it (what the fast
 // path evaluates block rules against — see compact.ToEvidence), and the
@@ -126,16 +172,16 @@ type compactSummary struct {
 
 // policyArtifacts caches one policy's materialization products across
 // snapshot rebuilds. Policies are immutable after parse, so everything
-// derived from the policy alone — its shred fragments, augmented DOM,
-// rendered document, and compact summary — is identical in every
-// snapshot the policy appears in; rebuilding them per publish is what
+// derived from the policy alone — its optimized-schema fragment,
+// augmented DOM, rendered document, and compact summary — is identical
+// in every snapshot the policy appears in; rebuilding them per publish
 // made each write O(installed policies × shred cost). Keyed by the
-// parsed policy pointer in Site.artifacts; the fragments also embed the
-// policy id and are rebuilt if a bulk replace reassigns it. Guarded by
+// parsed policy pointer in Site.artifacts; the fragment also embeds the
+// policy id and is rebuilt if a bulk replace reassigns it. Guarded by
 // Site.writeMu: only materialize reads or writes the cache.
 type policyArtifacts struct {
 	optFrag   *shred.Fragment
-	genFrag   *shred.Fragment
+	generic   *genericPart // at optFrag's id; replaced with it
 	augmented *xmldom.Node
 	xmlStr    string
 	compact   *compactSummary
@@ -228,25 +274,25 @@ func (d *stateDraft) setRefFile(rf *reffile.RefFile) error {
 	return nil
 }
 
-// materialize builds a fresh, fully-populated siteState from a draft:
-// new relational databases for both schemas, new XML store, every policy
-// re-shredded under its preserved id, and the reference file mirrored
-// into the Figure 16 tables. The current snapshot is never touched, so a
-// failure anywhere leaves the site exactly as it was — the all-or-nothing
-// guarantee — and a success is published with a single atomic store.
+// materialize builds the successor of prev (nil for a new site) from a
+// draft: a new optimized-schema database and XML store, every policy
+// shredded under its preserved id, and the reference file mirrored into
+// the Figure 16 tables. prev is never touched, so a failure anywhere
+// leaves the site exactly as it was (all-or-nothing).
 //
-// The cost is O(installed policies) per write. Policy writes are the
-// cold administrative path; what the rebuild buys is a read path that
-// never takes a site-level lock and never observes a half-applied
-// change.
-func (s *Site) materialize(d *stateDraft) (*siteState, error) {
-	optDB := reldb.NewWithOptions(s.opts.DB)
-	genDB := reldb.NewWithOptions(s.opts.DB)
-	optStore, err := shred.NewOptimized(optDB)
-	if err != nil {
-		return nil, err
+// A draft with prev's policies, ids and reference file (a preference
+// registration, a no-op replay) shares every backend of prev. Any other
+// write costs O(installed policies) fragment installs, paid so reads
+// never lock or see half a write; the generic schema is left to each
+// policy's first XTABLE use (genericDB).
+func (s *Site) materialize(prev *siteState, d *stateDraft) (*siteState, error) {
+	if prev != nil && prev.refFile == d.refFile && maps.Equal(prev.policies, d.policies) && maps.Equal(prev.ids, d.ids) {
+		next := *prev
+		next.nextID, next.prefs, next.gen = d.nextID, d.prefs, stateGen.Add(1)
+		return &next, nil
 	}
-	genStore, err := shred.NewGeneric(genDB)
+	optDB := reldb.NewWithOptions(s.opts.DB)
+	optStore, err := shred.NewOptimized(optDB)
 	if err != nil {
 		return nil, err
 	}
@@ -257,8 +303,6 @@ func (s *Site) materialize(d *stateDraft) (*siteState, error) {
 	st := &siteState{
 		optDB:     optDB,
 		optStore:  optStore,
-		genDB:     genDB,
-		genStore:  genStore,
 		refStore:  refStore,
 		xml:       xmlstore.New(),
 		refFile:   d.refFile,
@@ -267,6 +311,7 @@ func (s *Site) materialize(d *stateDraft) (*siteState, error) {
 		ids:       d.ids,
 		order:     d.order,
 		names:     slices.Clone(d.order),
+		generic:   make(map[string]*genericPart, len(d.policies)),
 		nextID:    d.nextID,
 		compact:   make(map[string]*compactSummary, len(d.policies)),
 		prefs:     d.prefs,
@@ -300,22 +345,19 @@ func (s *Site) materialize(d *stateDraft) (*siteState, error) {
 			if art.optFrag, err = shred.BuildOptimizedFragment(basedata.Default(), pol, id); err != nil {
 				return nil, err
 			}
-			if art.genFrag, err = shred.BuildGenericFragment(basedata.Default(), pol, id); err != nil {
-				return nil, err
-			}
+			art.generic = &genericPart{}
 		}
 		if _, err := optStore.InstallFragment(art.optFrag); err != nil {
 			return nil, err
 		}
-		if _, err := genStore.InstallFragment(art.genFrag); err != nil {
-			return nil, err
-		}
-		st.xml.Put(policyDoc(name), art.augmented)
+		obsOptFragments.Inc()
+		st.xml.PutShared(policyDoc(name), art.augmented)
 		st.policyXML[name] = art.xmlStr
 		st.resolvers[name] = st.xml.Resolver(map[string]string{
 			xqgen.ApplicableDocument: policyDoc(name),
 		})
 		st.compact[name] = art.compact
+		st.generic[name] = art.generic
 	}
 	if d.refFile != nil {
 		// The relational mirror only stores refs that resolve; the
@@ -340,7 +382,6 @@ func (s *Site) materialize(d *stateDraft) (*siteState, error) {
 	// published snapshot, which is what lets throughput scale with
 	// cores instead of serializing on one RWMutex cache line.
 	optDB.Freeze()
-	genDB.Freeze()
 	return st, nil
 }
 

@@ -12,6 +12,7 @@ package reffile
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"p3pdb/internal/reldb"
 	"p3pdb/internal/xmldom"
@@ -284,10 +285,20 @@ type Store struct {
 	nextID int
 }
 
+// refStmts is refDDL parsed once: a site creates the tables in a new
+// database on every snapshot publish.
+var refStmts = sync.OnceValues(func() ([]reldb.Statement, error) {
+	return reldb.ParseAll(refDDL)
+})
+
 // NewStore creates the reference-file tables in db.
 func NewStore(db *reldb.DB) (*Store, error) {
-	for _, ddl := range refDDL {
-		if _, err := db.Exec(ddl); err != nil {
+	ddl, err := refStmts()
+	if err != nil {
+		return nil, fmt.Errorf("reffile: creating schema: %w", err)
+	}
+	for _, stmt := range ddl {
+		if _, err := db.ExecStmt(stmt); err != nil {
 			return nil, fmt.Errorf("reffile: creating schema: %w", err)
 		}
 	}
@@ -295,44 +306,37 @@ func NewStore(db *reldb.DB) (*Store, error) {
 }
 
 // Install stores a reference file, resolving each POLICY-REF's policy name
-// against the given resolver, and returns the meta id.
+// against the given resolver, and returns the meta id. The rows go in as
+// one bulk append per table.
 func (s *Store) Install(rf *RefFile, resolver PolicyResolver) (int, error) {
 	metaID := s.nextID
 	s.nextID++
-	if _, err := s.db.Exec(`INSERT INTO Meta VALUES (?)`, reldb.Int(int64(metaID))); err != nil {
-		return 0, err
-	}
+	meta := reldb.Int(int64(metaID))
+	tables := []struct {
+		name string
+		rows [][]reldb.Value
+	}{{"Meta", [][]reldb.Value{{meta}}}, {name: "Policyref"},
+		// The pattern tables, in PolicyRef field order.
+		{name: "Include"}, {name: "Exclude"}, {name: "Cookie_include"}, {name: "Cookie_exclude"}}
 	for i, pr := range rf.PolicyRefs {
 		policyID, err := resolver.PolicyID(pr.PolicyName())
 		if err != nil {
 			return 0, fmt.Errorf("reffile: POLICY-REF %s: %w", pr.About, err)
 		}
-		if _, err := s.db.Exec(`INSERT INTO Policyref VALUES (?, ?, ?, ?)`,
-			reldb.Int(int64(metaID)), reldb.Int(int64(i+1)),
-			reldb.Str(pr.About), reldb.Int(int64(policyID))); err != nil {
-			return 0, err
-		}
-		insertPatterns := func(table string, patterns []string) error {
+		ref := reldb.Int(int64(i + 1))
+		tables[1].rows = append(tables[1].rows, []reldb.Value{meta, ref, reldb.Str(pr.About), reldb.Int(int64(policyID))})
+		for k, patterns := range [][]string{pr.Includes, pr.Excludes, pr.CookieIncludes, pr.CookieExcludes} {
+			t := &tables[2+k]
 			for j, p := range patterns {
-				if _, err := s.db.Exec(
-					fmt.Sprintf(`INSERT INTO %s VALUES (?, ?, ?, ?)`, table),
-					reldb.Int(int64(metaID)), reldb.Int(int64(i+1)),
-					reldb.Int(int64(j+1)), reldb.Str(WildcardToLike(p))); err != nil {
-					return err
-				}
+				t.rows = append(t.rows, []reldb.Value{meta, ref, reldb.Int(int64(j + 1)), reldb.Str(WildcardToLike(p))})
 			}
-			return nil
 		}
-		if err := insertPatterns("Include", pr.Includes); err != nil {
-			return 0, err
+	}
+	for _, t := range tables {
+		if len(t.rows) == 0 {
+			continue
 		}
-		if err := insertPatterns("Exclude", pr.Excludes); err != nil {
-			return 0, err
-		}
-		if err := insertPatterns("Cookie_include", pr.CookieIncludes); err != nil {
-			return 0, err
-		}
-		if err := insertPatterns("Cookie_exclude", pr.CookieExcludes); err != nil {
+		if _, err := s.db.InsertRows(t.name, t.rows); err != nil {
 			return 0, err
 		}
 	}

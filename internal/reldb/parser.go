@@ -23,6 +23,20 @@ func Parse(src string) (Statement, error) {
 	return parseWithLimit(src, Options{}.limits())
 }
 
+// ParseAll parses a fixed script one statement per element, for DDL that
+// many databases run: parse it once, then ExecStmt the trees into each.
+func ParseAll(srcs []string) ([]Statement, error) {
+	out := make([]Statement, len(srcs))
+	for i, src := range srcs {
+		stmt, err := Parse(src)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = stmt
+	}
+	return out, nil
+}
+
 func parseWithLimit(src string, limits complexity) (Statement, error) {
 	toks, err := lexAll(src)
 	if err != nil {

@@ -3,6 +3,7 @@ package shred
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"p3pdb/internal/p3p"
 	"p3pdb/internal/p3p/basedata"
@@ -107,11 +108,11 @@ func (t GenericTable) FKColumns() []string {
 	return out
 }
 
-// NewGeneric creates the generic-schema tables in db and returns a store.
-func NewGeneric(db *reldb.DB) (*GenericStore, error) {
-	g := &GenericStore{db: db, schema: basedata.Default(), tables: map[string]GenericTable{}, nextID: 1}
+// genericDDL is the generic schema's DDL, parsed once: every store
+// creates the same tables, and a site builds one store per policy.
+var genericDDL = sync.OnceValues(func() ([]reldb.Statement, error) {
+	var ddl []string
 	for _, t := range genericRegistry() {
-		g.tables[t.element] = t
 		var cols []string
 		cols = append(cols, t.IDColumn()+" INTEGER NOT NULL")
 		for _, fk := range t.FKColumns() {
@@ -124,17 +125,29 @@ func NewGeneric(db *reldb.DB) (*GenericStore, error) {
 			cols = append(cols, "text_value VARCHAR(4096)")
 		}
 		pk := append([]string{t.IDColumn()}, t.FKColumns()...)
-		ddl := fmt.Sprintf("CREATE TABLE %s (%s, PRIMARY KEY (%s))",
-			t.TableName(), strings.Join(cols, ", "), strings.Join(pk, ", "))
-		if _, err := db.Exec(ddl); err != nil {
-			return nil, fmt.Errorf("shred: creating generic schema: %w", err)
-		}
+		ddl = append(ddl, fmt.Sprintf("CREATE TABLE %s (%s, PRIMARY KEY (%s))",
+			t.TableName(), strings.Join(cols, ", "), strings.Join(pk, ", ")))
 		if len(t.parents) > 0 {
-			ix := fmt.Sprintf("CREATE INDEX ix_%s_fk ON %s (%s)",
-				t.TableName(), t.TableName(), strings.Join(t.FKColumns(), ", "))
-			if _, err := db.Exec(ix); err != nil {
-				return nil, err
-			}
+			ddl = append(ddl, fmt.Sprintf("CREATE INDEX ix_%s_fk ON %s (%s)",
+				t.TableName(), t.TableName(), strings.Join(t.FKColumns(), ", ")))
+		}
+	}
+	return reldb.ParseAll(ddl)
+})
+
+// NewGeneric creates the generic-schema tables in db and returns a store.
+func NewGeneric(db *reldb.DB) (*GenericStore, error) {
+	g := &GenericStore{db: db, schema: basedata.Default(), tables: map[string]GenericTable{}, nextID: 1}
+	for _, t := range genericRegistry() {
+		g.tables[t.element] = t
+	}
+	ddl, err := genericDDL()
+	if err != nil {
+		return nil, fmt.Errorf("shred: creating generic schema: %w", err)
+	}
+	for _, stmt := range ddl {
+		if _, err := db.ExecStmt(stmt); err != nil {
+			return nil, fmt.Errorf("shred: creating generic schema: %w", err)
 		}
 	}
 	return g, nil

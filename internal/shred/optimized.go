@@ -91,11 +91,21 @@ type OptimizedStore struct {
 	nextID int
 }
 
+// optimizedStmts is optimizedDDL parsed once: a site creates the tables
+// in a new database on every snapshot publish.
+var optimizedStmts = sync.OnceValues(func() ([]reldb.Statement, error) {
+	return reldb.ParseAll(optimizedDDL)
+})
+
 // NewOptimized creates the optimized tables in db (which must not already
 // contain them) and returns a store.
 func NewOptimized(db *reldb.DB) (*OptimizedStore, error) {
-	for _, ddl := range optimizedDDL {
-		if _, err := db.Exec(ddl); err != nil {
+	ddl, err := optimizedStmts()
+	if err != nil {
+		return nil, fmt.Errorf("shred: creating optimized schema: %w", err)
+	}
+	for _, stmt := range ddl {
+		if _, err := db.ExecStmt(stmt); err != nil {
 			return nil, fmt.Errorf("shred: creating optimized schema: %w", err)
 		}
 	}

@@ -33,6 +33,15 @@ func (s *Store) Put(name string, doc *xmldom.Node) {
 	s.docs[name] = doc.Clone()
 }
 
+// PutShared stores a document under a name without copying it: the
+// caller hands over a tree nothing mutates again, which every store it
+// is put into may then share.
+func (s *Store) PutShared(name string, doc *xmldom.Node) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.docs[name] = doc
+}
+
 // PutXML parses and stores an XML document.
 func (s *Store) PutXML(name, src string) error {
 	doc, err := xmldom.ParseString(src)

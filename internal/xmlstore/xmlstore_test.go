@@ -40,6 +40,15 @@ func TestPutClones(t *testing.T) {
 	}
 }
 
+func TestPutSharedKeepsTree(t *testing.T) {
+	s := New()
+	n := xmldom.New("ROOT")
+	s.PutShared("d", n)
+	if got, err := s.Get("d"); err != nil || got != n {
+		t.Fatalf("PutShared stored a copy: %p vs %p, %v", got, n, err)
+	}
+}
+
 func TestPutXMLRejectsBadInput(t *testing.T) {
 	s := New()
 	if err := s.PutXML("bad", "<unclosed"); err == nil {
