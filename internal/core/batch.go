@@ -63,10 +63,7 @@ func InstallReferenceFileMutation(rf *reffile.RefFile) Mutation {
 func ReplacePoliciesMutation(pols []*p3p.Policy, rf *reffile.RefFile) Mutation {
 	return Mutation{
 		edit: func(d *stateDraft) error {
-			d.policies = map[string]*p3p.Policy{}
-			d.ids = map[string]int{}
-			d.order = nil
-			d.refFile = nil
+			d.clearPolicies()
 			for _, pol := range pols {
 				if err := d.addPolicy(pol); err != nil {
 					return err
@@ -116,9 +113,7 @@ func RestoreStateMutation(exp StateExport) (Mutation, error) {
 	}
 	return Mutation{
 		edit: func(d *stateDraft) error {
-			d.policies = map[string]*p3p.Policy{}
-			d.ids = map[string]int{}
-			d.order = nil
+			d.clearPolicies()
 			for _, pol := range pols {
 				if err := d.addPolicy(pol); err != nil {
 					return err
@@ -181,21 +176,6 @@ func (s *Site) ApplyBatch(muts []Mutation) error {
 	// a miss storm (prewarm.go).
 	s.prewarm(prev, next)
 	s.state.Store(next)
-	// Sweep artifact-cache entries for policies the new snapshot no
-	// longer holds, so removed or replaced policies don't pin their
-	// fragments and DOMs forever. materialize guarantees every policy
-	// in next has an entry, so a size match means nothing is stale.
-	if len(s.artifacts) > len(next.policies) {
-		live := make(map[*p3p.Policy]struct{}, len(next.policies))
-		for _, p := range next.policies {
-			live[p] = struct{}{}
-		}
-		for p := range s.artifacts {
-			if _, ok := live[p]; !ok {
-				delete(s.artifacts, p)
-			}
-		}
-	}
 	for i := range muts {
 		if muts[i].purgeBound {
 			s.conv.purgePolicyBound()

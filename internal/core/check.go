@@ -103,11 +103,8 @@ func (s *Site) CheckCookieCtx(ctx context.Context, prefXML, cookieName string, e
 // halves run against the same snapshot, so a concurrent policy write
 // cannot split the check across generations.
 func (s *Site) check(ctx context.Context, st *siteState, prefXML, policyName string, engine Engine) (CheckResult, error) {
-	res := CheckResult{PolicyName: policyName, Generation: st.gen}
-	cs := st.compact[policyName]
-	if cs != nil {
-		res.CP = cs.cp
-	}
+	cs := st.entries[policyName].compact
+	res := CheckResult{PolicyName: policyName, CP: cs.cp, Generation: st.gen}
 	obsFastChecks.Inc()
 	reason := s.fastAllow(prefXML, cs)
 	span := obs.SpanFromContext(ctx)

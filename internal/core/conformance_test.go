@@ -54,7 +54,7 @@ func matchPrintedSQL(t *testing.T, s *Site, prefXML, polName string) (behavior s
 		if err != nil {
 			t.Fatalf("rule %d: %v\n%s", i+1, err, q.SQL)
 		}
-		fired, err := st.optDB.QueryExistsStmt(stmt, reldb.Int(int64(st.ids[polName])))
+		fired, err := st.optDB.QueryExistsStmt(stmt, reldb.Int(int64(st.entries[polName].id)))
 		if err != nil {
 			t.Fatalf("rule %d: %v\n%s", i+1, err, q.SQL)
 		}

@@ -331,9 +331,9 @@ func (s *Site) xqueryConversion(c *prefConv) ([]*xquery.Query, error) {
 // through the XML-view layer for one policy, through the cache. A cached
 // entry is only served when its embedded policy id still matches the
 // snapshot's — re-installation under a new id invalidates it in place.
-func (s *Site) xtableConversion(st *siteState, genDB *reldb.DB, c *prefConv, policyName string) ([]reldb.Statement, error) {
-	k := convKey{pref: c.xml, policy: policyName}
-	policyID := st.ids[policyName]
+func (s *Site) xtableConversion(pe *policyEntry, genDB *reldb.DB, c *prefConv) ([]reldb.Statement, error) {
+	k := convKey{pref: c.xml, policy: pe.policy.Name}
+	policyID := pe.id
 	if v, ok := s.conv.peek(k); ok {
 		if e := v.(*xtableConv); e.genID == policyID {
 			return e.stmts, nil

@@ -200,13 +200,6 @@ type Site struct {
 	// nil when Options.DisableConversionCache is set.
 	conv *convCache
 
-	// artifacts caches per-policy materialization products (shred
-	// fragments, augmented DOM, compact summary) across snapshot
-	// rebuilds, keyed by the immutable parsed-policy pointer. Guarded
-	// by writeMu; swept after each publish to the policies the new
-	// snapshot holds. See policyArtifacts in state.go.
-	artifacts map[*p3p.Policy]*policyArtifacts
-
 	// decisions caches whole match outcomes per (preference, policy,
 	// engine, snapshot generation); nil when
 	// Options.DisableDecisionCache is set. A hit skips the engines
@@ -356,26 +349,25 @@ func (s *Site) PolicyNames() []string {
 // PolicyXML returns the raw text of an installed policy (what a
 // client-centric agent would fetch).
 func (s *Site) PolicyXML(name string) (string, error) {
-	st := s.state.Load()
-	xml, ok := st.policyXML[name]
-	if !ok {
+	e := s.state.Load().entries[name]
+	if e == nil {
 		return "", fmt.Errorf("core: policy %q not installed", name)
 	}
-	return xml, nil
+	return e.xml, nil
 }
 
 // CompactPolicy returns the compact (CP-header) form of an installed
 // policy, the token summary IE6-era agents evaluated for cookie decisions
 // (Section 3.2 of the paper).
-// The form is computed once at snapshot publication (state.go) and
-// stored on the immutable siteState, so serving the P3P header is a map
-// read, not a per-request conversion.
+// The form is computed once, when the policy joins the site (state.go),
+// and kept on its entry, so serving the P3P header is a map read, not a
+// per-request conversion.
 func (s *Site) CompactPolicy(name string) (string, error) {
-	st := s.state.Load()
-	cs, ok := st.compact[name]
-	if !ok {
+	e := s.state.Load().entries[name]
+	if e == nil {
 		return "", fmt.Errorf("core: policy %q not installed", name)
 	}
+	cs := e.compact
 	if cs.cp == "" && cs.err != nil {
 		return "", cs.err
 	}
@@ -426,10 +418,10 @@ func (s *Site) ExportState() StateExport {
 	st := s.state.Load()
 	exp := StateExport{
 		Order:     append([]string(nil), st.order...),
-		PolicyXML: make(map[string]string, len(st.policyXML)),
+		PolicyXML: make(map[string]string, len(st.entries)),
 	}
-	for n, xml := range st.policyXML {
-		exp.PolicyXML[n] = xml
+	for n, e := range st.entries {
+		exp.PolicyXML[n] = e.xml
 	}
 	if st.refFile != nil {
 		exp.ReferenceXML = st.refFile.String()
@@ -460,12 +452,12 @@ func (s *Site) RestoreState(exp StateExport) error {
 }
 
 // DB exposes the optimized-schema database of the current snapshot for
-// inspection and the analytics example. The returned database is frozen:
-// later policy writes publish a new snapshot with a new database rather
-// than mutating this one.
+// inspection and the analytics example: the Figure 14 tables of every
+// installed policy, nothing else — the reference file's Figure 16 tables
+// live in internal/reffile. The returned database is frozen: later
+// policy writes publish a new snapshot with a new database rather than
+// mutating this one.
 func (s *Site) DB() *reldb.DB { return s.state.Load().optDB }
-
-func policyDoc(name string) string { return "policy:" + name }
 
 // PolicyForURI resolves which policy governs a URI, via the reference
 // file.
@@ -497,7 +489,7 @@ func (s *Site) MatchPolicyCtx(ctx context.Context, prefXML, policyName string, e
 // matchPolicyState is MatchPolicyCtx against a caller-chosen snapshot,
 // so a batch (MatchAllCtx) evaluates every policy against the same one.
 func (s *Site) matchPolicyState(ctx context.Context, st *siteState, prefXML, policyName string, engine Engine) (Decision, error) {
-	if _, ok := st.policyXML[policyName]; !ok {
+	if st.entries[policyName] == nil {
 		return Decision{}, fmt.Errorf("core: policy %q not installed", policyName)
 	}
 	return s.match(ctx, st, prefXML, policyName, engine)
@@ -728,6 +720,7 @@ func (s *Site) evaluate(ctx context.Context, st *siteState, conv *prefConv, poli
 		// happen; if it did, evaluating every rule is still sound.
 		mask = nil
 	}
+	e := st.entries[policy]
 	start := time.Now()
 	if engine == EngineNative {
 		rs, remap := conv.rs, []int(nil)
@@ -740,7 +733,7 @@ func (s *Site) evaluate(ctx context.Context, st *siteState, conv *prefConv, poli
 				}
 			}
 		}
-		dec, err := s.native.MatchMeter(rs, st.policyXML[policy], m)
+		dec, err := s.native.MatchMeter(rs, e.xml, m)
 		if err != nil {
 			return Decision{}, err
 		}
@@ -761,16 +754,16 @@ func (s *Site) evaluate(ctx context.Context, st *siteState, conv *prefConv, poli
 	)
 	switch engine {
 	case EngineSQL:
-		db, params = st.optDB, []reldb.Value{reldb.Int(int64(st.ids[policy]))}
+		db, params = st.optDB, []reldb.Value{reldb.Int(int64(e.id))}
 		stmts, err = s.sqlConversion(conv)
 	case EngineXTable:
-		if db, err = s.genericDB(st, policy); err == nil {
-			stmts, err = s.xtableConversion(st, db, conv, policy)
+		if db, err = s.genericDB(e); err == nil {
+			stmts, err = s.xtableConversion(e, db, conv)
 		}
 	case EngineXQuery:
-		// The per-policy resolver was prebuilt at snapshot
-		// materialization, so binding the policy is a map lookup.
-		ev = xquery.NewEvaluator(st.resolvers[policy]).WithMeter(m)
+		// The entry's resolver was built with it, so binding the policy
+		// allocates nothing.
+		ev = xquery.NewEvaluator(e.resolve).WithMeter(m)
 		queries, err = s.xqueryConversion(conv)
 	default:
 		return Decision{}, fmt.Errorf("core: unknown engine %d", engine)

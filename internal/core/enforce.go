@@ -38,8 +38,8 @@ func (s *Site) AuthorizeUse(policyName, purpose, dataRef string) (UseDecision, e
 		return UseDecision{}, fmt.Errorf("core: unknown purpose %q", purpose)
 	}
 	st := s.state.Load()
-	id, ok := st.ids[policyName]
-	if !ok {
+	e := st.entries[policyName]
+	if e == nil {
 		return UseDecision{}, fmt.Errorf("core: policy %q not installed", policyName)
 	}
 	ref := dataRef
@@ -58,7 +58,7 @@ func (s *Site) AuthorizeUse(policyName, purpose, dataRef string) (UseDecision, e
 		ORDER BY CASE WHEN p.required = 'always' THEN 0
 		              WHEN p.required = 'opt-out' THEN 1
 		              ELSE 2 END`,
-		reldb.Int(int64(id)), reldb.Str(purpose),
+		reldb.Int(int64(e.id)), reldb.Str(purpose),
 		reldb.Str(ref), reldb.Str(reldb.EscapeLike(ref)+".%"), reldb.Str(ref))
 	if err != nil {
 		return UseDecision{}, err

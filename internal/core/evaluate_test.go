@@ -70,7 +70,7 @@ func TestEvaluateMaskDropsFiringRule(t *testing.T) {
 				if full, err := s.evaluate(ctx, st, conv, pol, EngineNative, nil, nil); err == nil && full.RuleIndex == i {
 					droppedFiring++
 				}
-				dec, wantErr := s.native.MatchMeter(deleted, st.policyXML[pol], nil)
+				dec, wantErr := s.native.MatchMeter(deleted, st.entries[pol].xml, nil)
 				if wantErr != nil && !errors.Is(wantErr, appelengine.ErrNoRuleFired) {
 					t.Fatalf("%s without rule %d vs %s: %v", stem, i, pol, wantErr)
 				}

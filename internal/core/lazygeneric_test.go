@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 
@@ -122,9 +123,9 @@ func TestGenericBuildFaultIsRetried(t *testing.T) {
 // TestRegistrationReusesSnapshotBackends: a preference registration
 // changes no policy, so its snapshot shares every backend of the one
 // before it and installs no fragment; every engine decides exactly as
-// before. A reference-file write rebuilds the optimized store (it
-// mirrors the reference file) and a policy install adds one generic
-// partition; neither rebuilds the others.
+// before. A reference-file write keeps the optimized store (the
+// reference file is not mirrored into it) and a policy install adds one
+// generic partition; neither rebuilds the others.
 func TestRegistrationReusesSnapshotBackends(t *testing.T) {
 	d := workload.Generate(42)
 	s, err := NewSiteWithOptions(Options{DisableDecisionCache: true})
@@ -154,7 +155,7 @@ func TestRegistrationReusesSnapshotBackends(t *testing.T) {
 	}
 	sameGeneric := func(a, b *siteState) bool {
 		for _, pol := range d.Policies {
-			if a.generic[pol.Name] != b.generic[pol.Name] {
+			if &a.entries[pol.Name].generic != &b.entries[pol.Name].generic {
 				return false
 			}
 		}
@@ -171,7 +172,7 @@ func TestRegistrationReusesSnapshotBackends(t *testing.T) {
 	if next.gen == prev.gen {
 		t.Fatal("registration published no new generation")
 	}
-	if next.optDB != prev.optDB || next.xml != prev.xml || !sameGeneric(prev, next) {
+	if next.optDB != prev.optDB || !maps.Equal(next.entries, prev.entries) || !sameGeneric(prev, next) {
 		t.Fatal("registration rebuilt backends it did not change")
 	}
 	if n := optFragments.Value() - frags; n != int64(len(d.Policies)) {
@@ -186,8 +187,8 @@ func TestRegistrationReusesSnapshotBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := s.state.Load()
-	if ref.optDB == next.optDB || !sameGeneric(ref, next) {
-		t.Fatal("reference-file write: want a new optimized store and the same generic partitions")
+	if ref.optDB != next.optDB || !sameGeneric(ref, next) {
+		t.Fatal("reference-file write: want the same optimized store and the same generic partitions")
 	}
 	builds = genericBuilds.Value()
 	if err := s.InstallPolicy(mustParseOne(t, benignPolicyXML("extra"))); err != nil {
@@ -201,5 +202,59 @@ func TestRegistrationReusesSnapshotBackends(t *testing.T) {
 	}
 	if n := genericBuilds.Value() - builds; n != 1 {
 		t.Fatalf("one install then XTABLE over every policy: %d generic builds, want 1", n)
+	}
+}
+
+// TestSnapshotEntryReuseCounts: a reference-file-only write installs no
+// fragment and shares the optimized store and every entry; a one-policy
+// install or remove keeps every other policy's entry, though it still
+// installs one fragment per installed policy into a fresh store.
+func TestSnapshotEntryReuseCounts(t *testing.T) {
+	s, d := corpusSite(t, Options{})
+	prev := s.state.Load()
+	frags := optFragments.Value()
+	rf := *d.RefFile
+	if err := s.InstallReferenceFile(&rf); err != nil {
+		t.Fatal(err)
+	}
+	next := s.state.Load()
+	if n := optFragments.Value() - frags; n != 0 {
+		t.Fatalf("reference-file write installed %d fragments, want 0", n)
+	}
+	if next.optDB != prev.optDB || !maps.Equal(next.entries, prev.entries) {
+		t.Fatal("reference-file write rebuilt the optimized store or an entry")
+	}
+	keptOthers := func(a, b *siteState, except string) {
+		t.Helper()
+		for _, pol := range d.Policies {
+			if pol.Name != except && a.entries[pol.Name] != b.entries[pol.Name] {
+				t.Fatalf("write of %q rebuilt %q's entry", except, pol.Name)
+			}
+		}
+	}
+	frags = optFragments.Value()
+	extra := mustParseOne(t, benignPolicyXML("extra"))
+	if err := s.InstallPolicy(extra); err != nil {
+		t.Fatal(err)
+	}
+	installed := s.state.Load()
+	if n := optFragments.Value() - frags; n != int64(len(d.Policies)+1) {
+		t.Fatalf("one install over %d policies installed %d fragments, want %d", len(d.Policies), n, len(d.Policies)+1)
+	}
+	if installed.optDB == next.optDB || installed.entries["extra"] == nil {
+		t.Fatal("install published no new optimized store or no entry")
+	}
+	keptOthers(next, installed, "extra")
+	victim := d.Policies[3].Name
+	if err := s.RemovePolicy(victim); err != nil {
+		t.Fatal(err)
+	}
+	removed := s.state.Load()
+	if removed.entries[victim] != nil {
+		t.Fatalf("%q still has an entry after its removal", victim)
+	}
+	keptOthers(installed, removed, victim)
+	if removed.entries["extra"] != installed.entries["extra"] {
+		t.Fatal("remove rebuilt the entry installed before it")
 	}
 }

@@ -170,8 +170,8 @@ func (s *Site) prewarm(prev, next *siteState) {
 	// document is unchanged: same preference text, same policy text,
 	// same engine — same decision, by construction.
 	for _, e := range s.decisions.EntriesAt(prev.gen) {
-		xml, ok := next.policyXML[e.Key.Policy]
-		if !ok || xml != prev.policyXML[e.Key.Policy] {
+		ne, pe := next.entries[e.Key.Policy], prev.entries[e.Key.Policy]
+		if ne == nil || pe == nil || ne.xml != pe.xml {
 			continue
 		}
 		k := e.Key
@@ -191,15 +191,15 @@ func (s *Site) prewarm(prev, next *siteState) {
 			}
 		}
 		for _, polName := range next.order {
-			changed := prev.policyXML[polName] != next.policyXML[polName]
+			e, pe := next.entries[polName], prev.entries[polName]
+			changed := pe == nil || pe.xml != e.xml
 			if !changed && len(newPref) == 0 {
 				continue
 			}
-			art := s.artifacts[next.policies[polName]]
-			if art.terms == nil {
-				art.terms = prefindex.PolicyTerms(art.augmented)
+			if e.terms == nil {
+				e.terms = prefindex.PolicyTerms(e.augmented)
 			}
-			for _, sel := range set.Select(art.terms) {
+			for _, sel := range set.Select(e.terms) {
 				if !changed && !newPref[sel.Pref.Name] {
 					continue
 				}

@@ -41,37 +41,24 @@ var (
 // them. This is the same published-snapshot discipline an XML content
 // store uses for hot deploys, applied to the paper's three policy
 // representations at once.
+//
+// A snapshot is one map of per-policy entries plus what spans policies:
+// the optimized-schema database every entry's fragment is installed
+// into, the reference file, and the registered preferences.
 type siteState struct {
-	optDB    *reldb.DB
-	optStore *shred.OptimizedStore
-	refStore *reffile.Store
-	xml      *xmlstore.Store
-
+	optDB   *reldb.DB
 	refFile *reffile.RefFile
 
-	// policies holds the parsed policies (shared across snapshots — they
-	// are not mutated after install), policyXML their rendered documents,
-	// ids the policy id used by both relational schemas, and order the
-	// install order, which rebuilds preserve so ids stay stable.
-	policies  map[string]*p3p.Policy
-	policyXML map[string]string
-	ids       map[string]int
-	order     []string
-	// names is the installed policy names, sorted: the order MatchAll
-	// and PolicyNames answer in, computed once per snapshot.
-	names []string
-	// generic holds each policy's generic-schema partition (genericPart),
-	// carried from snapshot to snapshot with the policy's artifacts.
-	generic map[string]*genericPart
+	// entries holds each installed policy's entry by name; a publish
+	// carries an unchanged policy's entry by pointer. order is the install
+	// order, which rebuilds preserve so ids stay stable, and names the
+	// same names sorted: the order MatchAll and PolicyNames answer in.
+	entries map[string]*policyEntry
+	order   []string
+	names   []string
 	// nextID continues across snapshots and removals, so a policy id is
 	// never reused: a stale id-bound artifact can miss, never alias.
 	nextID int
-
-	// compact holds each policy's compact (CP-header) form and the
-	// pre-augmented evidence document the fast path evaluates block
-	// rules against, both computed once at snapshot publication so the
-	// per-request path only reads them.
-	compact map[string]*compactSummary
 
 	// prefs is the immutable set of registered preference rulesets plus
 	// the predicate index over them (internal/prefindex). Snapshots share
@@ -82,11 +69,42 @@ type siteState struct {
 	// gen is this snapshot's generation number (stateGen), the decision
 	// cache's snapshot identity.
 	gen uint64
+}
 
-	// resolvers holds one prebuilt XQuery document resolver per policy,
-	// so the native-XQuery match path binds its policy without allocating
-	// an alias map and closure per match.
-	resolvers map[string]func(string) (*xmldom.Node, error)
+// policyEntry is one installed policy under one id and everything
+// derived from the policy alone, built once when the policy is added and
+// shared by every snapshot that holds it. Parsed policies are immutable
+// and the engines treat published DOM nodes as read-only, so sharing is
+// safe; a policy installed again, or given a new id by a bulk replace,
+// gets a new entry.
+type policyEntry struct {
+	policy *p3p.Policy
+	id     int
+
+	// Built by materialize on the first publish that holds the entry
+	// (frag == nil until then).
+	xml       string       // the rendered document
+	augmented *xmldom.Node // the augmented DOM the XQuery engine reads
+	compact   *compactSummary
+	frag      *shred.Fragment // the optimized-schema rows at id
+	// resolve binds document("applicable-policy") to this policy alone:
+	// the native-XQuery match path reads a one-document store, with
+	// nothing allocated per match.
+	resolve func(string) (*xmldom.Node, error)
+
+	// generic is the policy's generic-schema database, the store only the
+	// XTABLE engine reads; XTABLE's SQL names the policy's id, so a match
+	// reads no other policy's rows. It is built on the entry's first
+	// XTABLE use, not at publish — the paper's cold/warm split (§6.3.2) —
+	// then frozen. A failed build is not remembered: the next use retries.
+	genericMu sync.Mutex
+	generic   atomic.Pointer[reldb.DB]
+
+	// terms is the policy's witness-term universe for the preference
+	// index, derived from the augmented DOM. Computed lazily by the
+	// pre-warm pass (under writeMu), so sites with no registered
+	// preferences never pay for it.
+	terms map[string]struct{}
 }
 
 // policyForURI resolves which policy governs a URI within this snapshot.
@@ -99,7 +117,7 @@ func (st *siteState) policyForURI(uri string) (string, error) {
 		return "", fmt.Errorf("core: no policy covers %q", uri)
 	}
 	name := pr.PolicyName()
-	if _, ok := st.policyXML[name]; !ok {
+	if st.entries[name] == nil {
 		return "", fmt.Errorf("core: reference file names uninstalled policy %q", name)
 	}
 	return name, nil
@@ -116,33 +134,21 @@ func (st *siteState) policyForCookie(cookieName string) (string, error) {
 		return "", fmt.Errorf("core: no policy covers cookie %q", cookieName)
 	}
 	name := pr.PolicyName()
-	if _, ok := st.policyXML[name]; !ok {
+	if st.entries[name] == nil {
 		return "", fmt.Errorf("core: reference file names uninstalled policy %q", name)
 	}
 	return name, nil
 }
 
-// genericPart is one policy's generic-schema database, the store only
-// the XTABLE engine reads; XTABLE's SQL names its policy's id, so a
-// match reads no other policy's rows. It is built on the policy's first
-// XTABLE use, not at publish — the paper's cold/warm split (§6.3.2) —
-// and every snapshot holding the policy under the same id shares it. A
-// failed build is not remembered: the next use retries it.
-type genericPart struct {
-	mu sync.Mutex
-	db atomic.Pointer[reldb.DB]
-}
-
-// genericDB returns policy's generic-schema database in st, shredding
-// the policy into it under its id on first use, then freezing it.
-func (s *Site) genericDB(st *siteState, policy string) (*reldb.DB, error) {
-	g := st.generic[policy]
-	if db := g.db.Load(); db != nil {
+// genericDB returns e's generic-schema database, shredding the policy
+// into it under e's id on first use, then freezing it.
+func (s *Site) genericDB(e *policyEntry) (*reldb.DB, error) {
+	if db := e.generic.Load(); db != nil {
 		return db, nil
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if db := g.db.Load(); db != nil {
+	e.genericMu.Lock()
+	defer e.genericMu.Unlock()
+	if db := e.generic.Load(); db != nil {
 		return db, nil
 	}
 	db := reldb.NewWithOptions(s.opts.DB)
@@ -150,12 +156,12 @@ func (s *Site) genericDB(st *siteState, policy string) (*reldb.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := store.InstallPolicyAt(st.policies[policy], st.ids[policy]); err != nil {
+	if _, err := store.InstallPolicyAt(e.policy, e.id); err != nil {
 		return nil, err
 	}
 	db.Freeze()
 	obsGenericBuilds.Inc()
-	g.db.Store(db)
+	e.generic.Store(db)
 	return db, nil
 }
 
@@ -170,38 +176,15 @@ type compactSummary struct {
 	err      error
 }
 
-// policyArtifacts caches one policy's materialization products across
-// snapshot rebuilds. Policies are immutable after parse, so everything
-// derived from the policy alone — its optimized-schema fragment,
-// augmented DOM, rendered document, and compact summary — is identical
-// in every snapshot the policy appears in; rebuilding them per publish
-// made each write O(installed policies × shred cost). Keyed by the
-// parsed policy pointer in Site.artifacts; the fragment also embeds the
-// policy id and is rebuilt if a bulk replace reassigns it. Guarded by
-// Site.writeMu: only materialize reads or writes the cache.
-type policyArtifacts struct {
-	optFrag   *shred.Fragment
-	generic   *genericPart // at optFrag's id; replaced with it
-	augmented *xmldom.Node
-	xmlStr    string
-	compact   *compactSummary
-	// terms is the policy's witness-term universe for the preference
-	// index, derived from the augmented DOM. Computed lazily by the
-	// pre-warm pass (under writeMu), so sites with no registered
-	// preferences never pay for it.
-	terms map[string]struct{}
-}
-
 // stateDraft is the mutable sketch a writer edits before the next
-// snapshot is materialized. It carries only the logical content (parsed
-// policies, ids, the reference file); the physical backends are rebuilt
-// from it by materialize.
+// snapshot is materialized. It carries only the logical content (the
+// policy entries, the reference file, the preferences); materialize
+// builds the entries it added and the backends from it.
 type stateDraft struct {
-	policies map[string]*p3p.Policy
-	ids      map[string]int
-	order    []string
-	refFile  *reffile.RefFile
-	nextID   int
+	entries map[string]*policyEntry
+	order   []string
+	refFile *reffile.RefFile
+	nextID  int
 	// prefs rides through policy edits untouched (the Set is immutable;
 	// registration replaces the pointer with a successor set).
 	prefs *prefindex.Set
@@ -209,64 +192,57 @@ type stateDraft struct {
 
 func newDraft() *stateDraft {
 	return &stateDraft{
-		policies: map[string]*p3p.Policy{},
-		ids:      map[string]int{},
-		nextID:   1,
-		prefs:    prefindex.NewSet(),
+		entries: map[string]*policyEntry{},
+		nextID:  1,
+		prefs:   prefindex.NewSet(),
 	}
 }
 
 // draft copies the snapshot's logical content into an editable sketch.
 func (st *siteState) draft() *stateDraft {
-	d := &stateDraft{
-		policies: make(map[string]*p3p.Policy, len(st.policies)),
-		ids:      make(map[string]int, len(st.ids)),
-		order:    append([]string(nil), st.order...),
-		refFile:  st.refFile,
-		nextID:   st.nextID,
-		prefs:    st.prefs,
+	return &stateDraft{
+		entries: maps.Clone(st.entries),
+		order:   slices.Clone(st.order),
+		refFile: st.refFile,
+		nextID:  st.nextID,
+		prefs:   st.prefs,
 	}
-	for n, p := range st.policies {
-		d.policies[n] = p
-	}
-	for n, id := range st.ids {
-		d.ids[n] = id
-	}
-	return d
 }
 
+// addPolicy adds pol under the next id as a new, not yet built entry.
 func (d *stateDraft) addPolicy(pol *p3p.Policy) error {
 	if err := pol.MustValid(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if _, dup := d.policies[pol.Name]; dup {
+	if _, dup := d.entries[pol.Name]; dup {
 		return fmt.Errorf("core: policy %q already installed", pol.Name)
 	}
-	d.policies[pol.Name] = pol
-	d.ids[pol.Name] = d.nextID
+	d.entries[pol.Name] = &policyEntry{policy: pol, id: d.nextID}
 	d.nextID++
 	d.order = append(d.order, pol.Name)
 	return nil
 }
 
 func (d *stateDraft) removePolicy(name string) error {
-	if _, ok := d.policies[name]; !ok {
+	if _, ok := d.entries[name]; !ok {
 		return fmt.Errorf("core: policy %q not installed", name)
 	}
-	delete(d.policies, name)
-	delete(d.ids, name)
-	for i, n := range d.order {
-		if n == name {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
-		}
-	}
+	delete(d.entries, name)
+	d.order = slices.DeleteFunc(d.order, func(n string) bool { return n == name })
 	return nil
+}
+
+// clearPolicies drops every policy and the reference file (bulk replace
+// and restore install their whole set afresh, under new ids).
+func (d *stateDraft) clearPolicies() {
+	d.entries = map[string]*policyEntry{}
+	d.order = nil
+	d.refFile = nil
 }
 
 func (d *stateDraft) setRefFile(rf *reffile.RefFile) error {
 	for _, pr := range rf.PolicyRefs {
-		if _, ok := d.policies[pr.PolicyName()]; !ok {
+		if _, ok := d.entries[pr.PolicyName()]; !ok {
 			return fmt.Errorf("core: reference file names uninstalled policy %q", pr.PolicyName())
 		}
 	}
@@ -275,20 +251,22 @@ func (d *stateDraft) setRefFile(rf *reffile.RefFile) error {
 }
 
 // materialize builds the successor of prev (nil for a new site) from a
-// draft: a new optimized-schema database and XML store, every policy
-// shredded under its preserved id, and the reference file mirrored into
-// the Figure 16 tables. prev is never touched, so a failure anywhere
-// leaves the site exactly as it was (all-or-nothing).
+// draft. prev is never touched, so a failure anywhere leaves the site
+// exactly as it was (all-or-nothing).
 //
-// A draft with prev's policies, ids and reference file (a preference
-// registration, a no-op replay) shares every backend of prev. Any other
-// write costs O(installed policies) fragment installs, paid so reads
-// never lock or see half a write; the generic schema is left to each
-// policy's first XTABLE use (genericDB).
+// A draft holding prev's entries — a preference registration, a no-op
+// replay, a reference-file-only write — shares prev's optimized-schema
+// database. Any other write builds the entries it added (a policy's
+// derived forms are built once, when it joins the site) and installs
+// every entry's fragment into a fresh database: O(installed policies)
+// row inserts, paid so reads never lock or see half a write. The
+// generic schema is left to each entry's first XTABLE use (genericDB).
+// The reference file is read in memory (internal/reffile); its Figure 16
+// tables are not mirrored into the snapshot.
 func (s *Site) materialize(prev *siteState, d *stateDraft) (*siteState, error) {
-	if prev != nil && prev.refFile == d.refFile && maps.Equal(prev.policies, d.policies) && maps.Equal(prev.ids, d.ids) {
+	if prev != nil && maps.Equal(prev.entries, d.entries) {
 		next := *prev
-		next.nextID, next.prefs, next.gen = d.nextID, d.prefs, stateGen.Add(1)
+		next.refFile, next.nextID, next.prefs, next.gen = d.refFile, d.nextID, d.prefs, stateGen.Add(1)
 		return &next, nil
 	}
 	optDB := reldb.NewWithOptions(s.opts.DB)
@@ -296,93 +274,55 @@ func (s *Site) materialize(prev *siteState, d *stateDraft) (*siteState, error) {
 	if err != nil {
 		return nil, err
 	}
-	refStore, err := reffile.NewStore(optDB)
-	if err != nil {
-		return nil, err
-	}
-	st := &siteState{
-		optDB:     optDB,
-		optStore:  optStore,
-		refStore:  refStore,
-		xml:       xmlstore.New(),
-		refFile:   d.refFile,
-		policies:  d.policies,
-		policyXML: make(map[string]string, len(d.policies)),
-		ids:       d.ids,
-		order:     d.order,
-		names:     slices.Clone(d.order),
-		generic:   make(map[string]*genericPart, len(d.policies)),
-		nextID:    d.nextID,
-		compact:   make(map[string]*compactSummary, len(d.policies)),
-		prefs:     d.prefs,
-		gen:       stateGen.Add(1),
-		resolvers: make(map[string]func(string) (*xmldom.Node, error), len(d.policies)),
-	}
-	slices.Sort(st.names)
-	if s.artifacts == nil {
-		s.artifacts = map[*p3p.Policy]*policyArtifacts{}
-	}
 	for _, name := range d.order {
-		pol := d.policies[name]
-		id := d.ids[name]
-		// Reuse (or build once) everything derived from the policy
-		// alone. Parsed policies are immutable and the engines treat
-		// published DOM nodes as read-only — concurrent matches already
-		// share them within one snapshot — so sharing the augmented DOM
-		// and compact evidence across snapshots is safe.
-		art := s.artifacts[pol]
-		if art == nil {
-			dom := pol.ToDOM()
-			art = &policyArtifacts{
-				augmented: s.native.Augment(dom),
-				xmlStr:    dom.String(),
-				compact:   s.compactSummaryFor(pol),
-			}
-			s.artifacts[pol] = art
-		}
-		if art.optFrag == nil || art.optFrag.PolicyID() != id {
-			var err error
-			if art.optFrag, err = shred.BuildOptimizedFragment(basedata.Default(), pol, id); err != nil {
+		e := d.entries[name]
+		if e.frag == nil {
+			if err := s.build(e); err != nil {
 				return nil, err
 			}
-			art.generic = &genericPart{}
 		}
-		if _, err := optStore.InstallFragment(art.optFrag); err != nil {
+		if _, err := optStore.InstallFragment(e.frag); err != nil {
 			return nil, err
 		}
 		obsOptFragments.Inc()
-		st.xml.PutShared(policyDoc(name), art.augmented)
-		st.policyXML[name] = art.xmlStr
-		st.resolvers[name] = st.xml.Resolver(map[string]string{
-			xqgen.ApplicableDocument: policyDoc(name),
-		})
-		st.compact[name] = art.compact
-		st.generic[name] = art.generic
-	}
-	if d.refFile != nil {
-		// The relational mirror only stores refs that resolve; the
-		// in-memory RefFile keeps the full document. A POLICY-REF can
-		// dangle after its policy is removed — resolution reports that
-		// per lookup, as it always has.
-		inst := &reffile.RefFile{}
-		for _, pr := range d.refFile.PolicyRefs {
-			if _, ok := d.ids[pr.PolicyName()]; ok {
-				inst.PolicyRefs = append(inst.PolicyRefs, pr)
-			}
-		}
-		if len(inst.PolicyRefs) > 0 {
-			if _, err := refStore.Install(inst, optStore); err != nil {
-				return nil, err
-			}
-		}
 	}
 	// The snapshot is fully populated and about to be published
-	// read-only. Freezing its databases lets every subsequent SELECT
+	// read-only. Freezing its database lets every subsequent SELECT
 	// skip the shared lock: matching takes no lock at all against a
 	// published snapshot, which is what lets throughput scale with
 	// cores instead of serializing on one RWMutex cache line.
 	optDB.Freeze()
+	st := &siteState{
+		optDB:   optDB,
+		refFile: d.refFile,
+		entries: d.entries,
+		order:   d.order,
+		names:   slices.Clone(d.order),
+		nextID:  d.nextID,
+		prefs:   d.prefs,
+		gen:     stateGen.Add(1),
+	}
+	slices.Sort(st.names)
 	return st, nil
+}
+
+// build derives a newly added entry's forms from its policy. The entry
+// belongs to one draft until that draft publishes, so nothing else can
+// see it half built.
+func (s *Site) build(e *policyEntry) error {
+	frag, err := shred.BuildOptimizedFragment(basedata.Default(), e.policy, e.id)
+	if err != nil {
+		return err
+	}
+	dom := e.policy.ToDOM()
+	e.xml = dom.String()
+	e.augmented = s.native.Augment(dom)
+	e.compact = s.compactSummaryFor(e.policy)
+	doc := xmlstore.New()
+	doc.PutShared(xqgen.ApplicableDocument, e.augmented)
+	e.resolve = doc.Resolver(nil)
+	e.frag = frag
+	return nil
 }
 
 // compactSummaryFor computes a policy's compact form and fast-path
